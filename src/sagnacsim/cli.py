@@ -73,7 +73,7 @@ def _scan_voltages(cfg: SceneConfig, sweep_max: float | None) -> np.ndarray:
         v_max = scan.v_max if scan is not None and scan.v_max is not None else None
     if v_max is None:
         v_max = 2.0 * half_wave_voltage(cfg.crystal_spec())
-    samples = int(scan.samples) if scan is not None else 101
+    samples = scan.samples if scan is not None else 101
     return np.linspace(0.0, v_max, samples)
 
 
@@ -110,7 +110,7 @@ def _run_table1(cfg: SceneConfig, out: str, args) -> str:
     v_max = args.sweep_max
     if v_max is None and sweep is not None and sweep.v_max is not None:
         v_max = sweep.v_max
-    n = int(sweep.samples) if sweep is not None else 1001
+    n = sweep.samples if sweep is not None else 1001
     angles_deg = (0.0, 45.0, 90.0)
     records = table1_report(
         setup, [math.radians(a) for a in angles_deg], v_max=v_max, n=n

@@ -14,8 +14,8 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from .circuit import DriveCircuit
-from .elements import CrystalSpec, Eom, FaradayRotator, HalfWavePlate, Pbs, half_wave_voltage
-from .loop import LoopLayout
+from .elements import CrystalSpec, Pbs, half_wave_voltage
+from .loop import LoopLayout, build_default_loop
 
 __all__ = [
     "ConfigError",
@@ -35,15 +35,13 @@ class ConfigError(ValueError):
 def parse_number(text: str) -> float:
     """Float with an optional SI suffix: '50p' -> 5e-11, '20k' -> 2e4."""
     text = text.strip()
-    if text and text[-1] in _SI_SUFFIXES:
-        try:
-            return float(text[:-1]) * _SI_SUFFIXES[text[-1]]
-        except ValueError:
-            pass
     try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"malformed number {text!r}") from None
+        value = float(text[:-1]) * _SI_SUFFIXES[text[-1:]]
+    except (ValueError, KeyError):
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"malformed number {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"number must be finite, got {text!r}")
     return value
@@ -93,13 +91,13 @@ class CircuitConfig:
 @dataclass(frozen=True)
 class ScanConfig:
     v_max: Optional[float] = None
-    samples: float = 101
+    samples: int = 101
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     v_max: Optional[float] = None
-    samples: float = 1001
+    samples: int = 1001
 
 
 @dataclass(frozen=True)
@@ -149,22 +147,21 @@ class SceneConfig:
     def loop_layout(self) -> LoopLayout:
         crystal = self.crystal_spec()
         lp = self.loop if self.loop is not None else LoopConfig()
-        fr1 = math.radians(lp.fr_angle_deg)
-        hwp1 = math.radians(lp.hwp_angle_deg)
-        fr2 = math.radians(lp.fr2_angle_deg) if lp.fr2_angle_deg is not None else fr1
-        hwp2 = math.radians(lp.hwp2_angle_deg) if lp.hwp2_angle_deg is not None else hwp1
-        axis = lp.eom_axis if lp.eom_axis is not None else ("V" if lp.rotated_beam == "cw" else "H")
-        eom = Eom(crystal, axis=axis, residual_orthogonal_phase=lp.eom_residual_phase_per_volt)
-        if lp.rotated_beam == "cw":
-            path = (HalfWavePlate(hwp1), FaradayRotator(fr1), eom,
-                    HalfWavePlate(hwp2), FaradayRotator(fr2))
-        elif lp.rotated_beam == "ccw":
-            path = (FaradayRotator(fr1), HalfWavePlate(hwp1), eom,
-                    FaradayRotator(fr2), HalfWavePlate(hwp2))
-        else:
-            raise ConfigError(f"rotated_beam must be 'cw' or 'ccw', got {lp.rotated_beam!r}")
-        pbs = Pbs(extinction_t=lp.pbs_extinction_t, extinction_r=lp.pbs_extinction_r)
-        return LoopLayout(pbs=pbs, cw_path=path, crystal=crystal, output_port=lp.output_port)
+        try:
+            return build_default_loop(
+                crystal,
+                fr_angle=math.radians(lp.fr_angle_deg),
+                hwp_angle=math.radians(lp.hwp_angle_deg),
+                pbs=Pbs(extinction_t=lp.pbs_extinction_t, extinction_r=lp.pbs_extinction_r),
+                rotated_beam=lp.rotated_beam,
+                eom_residual_phase=lp.eom_residual_phase_per_volt,
+                fr2_angle=None if lp.fr2_angle_deg is None else math.radians(lp.fr2_angle_deg),
+                hwp2_angle=None if lp.hwp2_angle_deg is None else math.radians(lp.hwp2_angle_deg),
+                eom_axis=lp.eom_axis,
+                output_port=lp.output_port,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[loop]: {exc}") from None
 
     def drive_circuit(self) -> DriveCircuit:
         if self.circuit is None:
@@ -208,7 +205,12 @@ def _convert(section: str, key: str, raw: str, lineno: int):
             if not items:
                 raise ValueError("empty list")
             return tuple(parse_number(part) for part in items)
-        return parse_number(raw)
+        value = parse_number(raw)
+        if key == "samples":
+            if not (value.is_integer() and value >= 1):
+                raise ValueError(f"must be a positive integer, got {raw.strip()!r}")
+            return int(value)
+        return value
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: key '{key}' in [{section}]: {exc}") from None
 

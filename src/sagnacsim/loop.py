@@ -13,6 +13,12 @@ beam stays V throughout. Both components then pick up the same modulator
 phase pi * V / V_half and leave through the exit port carrying it as a pure
 global phase.
 
+Each beam crosses the modulator once, so each output port is linear in the
+modulator's two axis phase factors: M_port(V) = f_H(V) P_port,H + f_V(V) P_port,V.
+``_compile`` finds the four fixed 2x2 parts (ports B and A, modulator axes H
+and V) by tracing the loop with the modulator replaced by each axis
+projector, and every public entry point evaluates that one compiled form.
+
 The modulator sits at the midpoint index of the path; that placement matters
 for the timing symmetry of the two beams in the physical device, not for the
 static matrices computed here, and is therefore recommended but not enforced.
@@ -37,7 +43,7 @@ from .elements import (
     pbs_combine_ports,
     pbs_split,
 )
-from .polarization import H, V, global_phase_decompose, scaled_identity_infidelity
+from .polarization import H, V, _canonical_phases, _scaled_identity_infidelities
 
 __all__ = [
     "LoopLayout",
@@ -49,6 +55,10 @@ __all__ = [
     "trace",
     "trace_ports",
 ]
+
+_PORTS = ("B", "A")
+# Modulator replaced by the projector onto its H, then its V axis.
+_AXIS_PROJECTORS = (np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j]))
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,7 @@ class LoopLayout:
             raise ValueError(f"cw_path must contain exactly one Eom, found {len(eoms)}")
         if eoms[0].crystal != self.crystal:
             raise ValueError("the Eom in cw_path must use the layout's crystal")
-        if self.output_port not in ("A", "B"):
+        if self.output_port not in _PORTS:
             raise ValueError(f"output_port must be 'A' or 'B', got {self.output_port!r}")
 
     @property
@@ -92,6 +102,10 @@ def build_default_loop(
     pbs: Pbs | None = None,
     rotated_beam: str = "cw",
     eom_residual_phase: float = 0.0,
+    fr2_angle: float | None = None,
+    hwp2_angle: float | None = None,
+    eom_axis: str | None = None,
+    output_port: str = "B",
 ) -> LoopLayout:
     """Five-element loop with the modulator at the center (index 2).
 
@@ -101,53 +115,63 @@ def build_default_loop(
     "ccw" mirrors the pairs and drives H. The defaults fr_angle = 45 deg and
     hwp_angle = 22.5 deg realize the full rotation; other angle pairs are
     accepted and simply degrade the device, which is useful in negative
-    tests.
+    tests. ``fr2_angle`` / ``hwp2_angle`` set the pair after the modulator
+    (default: the same angles as the first pair), and ``eom_axis`` overrides
+    the driven axis that ``rotated_beam`` implies.
     """
     if rotated_beam not in ("cw", "ccw"):
         raise ValueError(f"rotated_beam must be 'cw' or 'ccw', got {rotated_beam!r}")
-    hwp = HalfWavePlate(hwp_angle)
-    fr = FaradayRotator(fr_angle)
-    if rotated_beam == "cw":
-        eom = Eom(crystal, axis="V", residual_orthogonal_phase=eom_residual_phase)
-        path = (hwp, fr, eom, hwp, fr)
-    else:
-        eom = Eom(crystal, axis="H", residual_orthogonal_phase=eom_residual_phase)
-        path = (fr, hwp, eom, fr, hwp)
-    return LoopLayout(pbs=pbs if pbs is not None else Pbs(), cw_path=path, crystal=crystal)
+    if eom_axis is None:
+        eom_axis = "V" if rotated_beam == "cw" else "H"
+    eom = Eom(crystal, axis=eom_axis, residual_orthogonal_phase=eom_residual_phase)
+    first = (HalfWavePlate(hwp_angle), FaradayRotator(fr_angle))
+    second = (HalfWavePlate(hwp_angle if hwp2_angle is None else hwp2_angle),
+              FaradayRotator(fr_angle if fr2_angle is None else fr2_angle))
+    if rotated_beam == "ccw":  # rotator ahead of the plate on both sides
+        first, second = first[::-1], second[::-1]
+    return LoopLayout(pbs or Pbs(), (*first, eom, *second), crystal, output_port)
 
 
-def _path_matrix(
-    layout: LoopLayout,
-    direction: str,
-    drive_voltage: float,
-    eom_override: np.ndarray | None = None,
-) -> np.ndarray:
-    """Composite matrix of the loop elements for one traversal direction."""
-    elements = layout.cw_path if direction == "forward" else tuple(reversed(layout.cw_path))
-    m = np.eye(2, dtype=complex)
-    for el in elements:
-        if eom_override is not None and isinstance(el, Eom):
-            m = eom_override @ m
-        else:
-            m = element_matrix(el, direction, drive_voltage) @ m
-    return m
+def _compile(layout: LoopLayout) -> np.ndarray:
+    """The loop's fixed parts, shape (port B/A, Eom axis H/V, 2, 2): column j of
+    part [p, a] is port p's output for basis input j with the Eom replaced by
+    the projector onto axis a."""
+    chains = [
+        [None if isinstance(el, Eom) else element_matrix(el, direction) for el in elements]
+        for direction, elements in (("forward", layout.cw_path), ("backward", layout.cw_path[::-1]))
+    ]
+    splits = [pbs_split(layout.pbs, basis) for basis in (H, V)]
+    parts = np.empty((2, 2, 2, 2), dtype=complex)
+    for axis, projector in enumerate(_AXIS_PROJECTORS):
+        cw, ccw = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+        for m in chains[0]:
+            cw = (projector if m is None else m) @ cw
+        for m in chains[1]:
+            ccw = (projector if m is None else m) @ ccw
+        for col, (transmit, reflect) in enumerate(splits):
+            parts[:, axis, :, col] = pbs_combine_ports(layout.pbs, cw @ transmit, ccw @ reflect)
+    return parts
 
 
-def trace_ports(
-    layout: LoopLayout,
-    state,
-    drive_voltage: float,
-    _eom_override: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _port_matrices(layout: LoopLayout, voltages) -> np.ndarray:
+    """Transfer matrices of both ports, shape voltages.shape + (2, 2, 2)."""
+    voltages = np.asarray(voltages, dtype=float)
+    parts = _compile(layout)
+    eom = layout.eom
+    driven = np.exp(1j * math.pi * voltages / half_wave_voltage(eom.crystal))
+    residual = np.exp(1j * eom.residual_orthogonal_phase * voltages)
+    factor_h, factor_v = (residual, driven) if eom.axis == "V" else (driven, residual)
+    return (factor_h[..., None, None, None] * parts[:, 0]
+            + factor_v[..., None, None, None] * parts[:, 1])
+
+
+def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.ndarray, np.ndarray]:
     """Propagate ``state`` through the loop; return (port B, port A) states.
 
     Port B is the exit port distinct from the input; for an ideal layout all
-    light leaves there and the port A amplitude is exactly zero.
+    light leaves there and the port A amplitude vanishes.
     """
-    transmitted, reflected = pbs_split(layout.pbs, state)
-    cw_out = _path_matrix(layout, "forward", drive_voltage, _eom_override) @ transmitted
-    ccw_out = _path_matrix(layout, "backward", drive_voltage, _eom_override) @ reflected
-    return pbs_combine_ports(layout.pbs, cw_out, ccw_out)
+    return tuple(_port_matrices(layout, drive_voltage) @ np.asarray(state, dtype=complex))
 
 
 def trace(layout: LoopLayout, state, drive_voltage: float) -> np.ndarray:
@@ -155,8 +179,7 @@ def trace(layout: LoopLayout, state, drive_voltage: float) -> np.ndarray:
     norm2 = float(np.sum(np.abs(np.asarray(state, dtype=complex)) ** 2))
     if abs(norm2 - 1.0) > 1e-6:
         raise ValueError(f"trace expects a normalized input state, got norm^2 = {norm2}")
-    port_b, port_a = trace_ports(layout, state, drive_voltage)
-    return port_b if layout.output_port == "B" else port_a
+    return trace_ports(layout, state, drive_voltage)[_PORTS.index(layout.output_port)]
 
 
 def device_matrix(layout: LoopLayout, drive_voltage: float) -> np.ndarray:
@@ -165,47 +188,13 @@ def device_matrix(layout: LoopLayout, drive_voltage: float) -> np.ndarray:
     Columns are the traced outputs for H and V inputs; by linearity the trace
     of any superposition equals this matrix applied to it.
     """
-    return np.column_stack(
-        [trace(layout, H, drive_voltage), trace(layout, V, drive_voltage)]
-    )
-
-
-def _indicator_parts(layout: LoopLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Device matrices with the Eom replaced by the H / V axis projectors.
-
-    Because the modulator appears exactly once on each beam's path, the full
-    device matrix is linear in the two Eom phase factors:
-    M(V) = e^{i r V} * P_residual_axis + e^{i pi V / V_half} * P_driven_axis.
-    """
-    dh = np.diag([1.0 + 0.0j, 0.0j])
-    dv = np.diag([0.0j, 1.0 + 0.0j])
-    parts = []
-    for ind in (dh, dv):
-        cols = [trace_ports(layout, basis, 0.0, _eom_override=ind)[0] for basis in (H, V)]
-        parts.append(np.column_stack(cols))
-    return parts[0], parts[1]
+    return device_matrix_batch(layout, drive_voltage)
 
 
 def device_matrix_batch(layout: LoopLayout, voltages) -> np.ndarray:
-    """Device matrices for an array of voltages, shape (n, 2, 2).
-
-    Exactly equal to stacking ``device_matrix`` per voltage, but computed
-    from the two Eom-indicator parts so that large sweeps cost two traces
-    plus vectorized phase factors.
-    """
-    voltages = np.asarray(voltages, dtype=float)
-    part_h, part_v = _indicator_parts(layout)
-    eom = layout.eom
-    driven = np.exp(1j * math.pi * voltages / half_wave_voltage(eom.crystal))
-    residual = np.exp(1j * eom.residual_orthogonal_phase * voltages)
-    if eom.axis == "V":
-        factor_h, factor_v = residual, driven
-    else:
-        factor_h, factor_v = driven, residual
-    return (
-        factor_h[..., None, None] * part_h[None, :, :]
-        + factor_v[..., None, None] * part_v[None, :, :]
-    )
+    """Device matrices at the layout's output port for an array of voltages,
+    shape voltages.shape + (2, 2)."""
+    return _port_matrices(layout, voltages)[..., _PORTS.index(layout.output_port), :, :]
 
 
 class ScanPoint(NamedTuple):
@@ -221,20 +210,16 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> list[Sca
     Per voltage: the unwrapped global phase of the device matrix, the
     scale-invariant identity infidelity (zero for a pure global phase even
     when the layout leaks power), and the input-averaged power returned to
-    port A. For the ideal default layout the phase is linear with slope
-    pi / V_half and the infidelity vanishes.
+    port A, 0.5 * ||M_A||_F^2. For the ideal default layout the phase is
+    linear with slope pi / V_half and the infidelity vanishes.
     """
-    voltages = list(voltages)
-    if not voltages:
+    voltages = np.asarray(voltages, dtype=float)
+    if voltages.size == 0:
         raise ValueError("independence_scan needs a non-empty voltage list")
-    matrices = device_matrix_batch(layout, voltages)
-    wrapped = [global_phase_decompose(m).global_phase for m in matrices]
-    phases = np.unwrap(wrapped)
-    points = []
-    for v, phase, m in zip(voltages, phases, matrices):
-        infid = scaled_identity_infidelity(m)
-        _, port_a = trace_ports(layout, H, v)
-        _, port_a_v = trace_ports(layout, V, v)
-        leak = 0.5 * float(np.sum(np.abs(port_a) ** 2) + np.sum(np.abs(port_a_v) ** 2))
-        points.append(ScanPoint(float(v), float(phase), infid, leak))
-    return points
+    ports = _port_matrices(layout, voltages)
+    matrices = ports[:, _PORTS.index(layout.output_port)]
+    phases = np.unwrap(_canonical_phases(matrices)[0])
+    infidelities = _scaled_identity_infidelities(matrices)
+    leaks = 0.5 * np.sum(np.abs(ports[:, 1]) ** 2, axis=(1, 2))
+    rows = np.column_stack([voltages, phases, infidelities, leaks]).tolist()
+    return [ScanPoint(*row) for row in rows]

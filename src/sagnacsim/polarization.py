@@ -110,6 +110,23 @@ class PhaseDecomposition(NamedTuple):
     residual: np.ndarray
 
 
+def _canonical_phases(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical global phases of a stack (n, 2, 2) of nonzero transforms and
+    the row-major index of each one's pivot entry (see ``PhaseDecomposition``)."""
+    flat = ms.reshape(len(ms), 4)
+    mags = np.abs(flat)
+    top = mags.max(axis=1, keepdims=True)
+    # first maximum in row-major order; magnitudes tied within floating-point
+    # noise count as equal so the tie-break is stable
+    pivot_index = np.argmax(mags >= top * (1.0 - 1e-12), axis=1)
+    pivots = flat[np.arange(len(flat)), pivot_index]
+    if np.any(pivots == 0):
+        raise ValueError("cannot decompose the zero matrix")
+    phases = np.angle(pivots)
+    phases[phases == -math.pi] = math.pi
+    return phases, pivot_index
+
+
 def global_phase_decompose(m) -> PhaseDecomposition:
     """Split a transform into a global phase and a canonical residual.
 
@@ -117,19 +134,10 @@ def global_phase_decompose(m) -> PhaseDecomposition:
     Raises ValueError for the zero matrix, which carries no phase.
     """
     m = _as_transform(m)
-    mags = np.abs(m).ravel()
-    top = float(mags.max())
-    # first maximum in row-major order; magnitudes tied within floating-point
-    # noise count as equal so the tie-break is stable
-    k = int(np.flatnonzero(mags >= top * (1.0 - 1e-12))[0])
-    pivot = m.flat[k]
-    if pivot == 0:
-        raise ValueError("cannot decompose the zero matrix")
-    phase = cmath.phase(pivot)
-    if phase == -math.pi:
-        phase = math.pi
+    phases, pivot_index = _canonical_phases(m[None])
+    phase, k = float(phases[0]), int(pivot_index[0])
     residual = m * cmath.exp(-1j * phase)
-    residual.flat[k] = abs(pivot)  # force exact canonical pivot
+    residual.flat[k] = abs(m.flat[k])  # force exact canonical pivot
     return PhaseDecomposition(phase, residual)
 
 
@@ -150,6 +158,15 @@ def identity_infidelity(m) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
+def _scaled_identity_infidelities(ms: np.ndarray) -> np.ndarray:
+    """``scaled_identity_infidelity`` of each transform in a stack, shape (n, 2, 2)."""
+    fro = np.linalg.norm(ms, axis=(1, 2))
+    if np.any(fro == 0.0):
+        raise ValueError("cannot measure the zero matrix")
+    val = 1.0 - np.abs(ms[:, 0, 0] + ms[:, 1, 1]) / (math.sqrt(2.0) * fro)
+    return np.clip(val, 0.0, 1.0)
+
+
 def scaled_identity_infidelity(m) -> float:
     """Scale-invariant distance from phase * identity: 1 - |tr m| / (sqrt(2) ||m||_F).
 
@@ -159,12 +176,7 @@ def scaled_identity_infidelity(m) -> float:
     proportional to the identity. Used for lossy device matrices, where a
     common amplitude loss should not count as polarization dependence.
     """
-    m = _as_transform(m)
-    fro = float(np.linalg.norm(m))
-    if fro == 0.0:
-        raise ValueError("cannot measure the zero matrix")
-    val = 1.0 - abs(m[0, 0] + m[1, 1]) / (math.sqrt(2.0) * fro)
-    return float(min(max(val, 0.0), 1.0))
+    return float(_scaled_identity_infidelities(_as_transform(m)[None])[0])
 
 
 def stokes(s) -> tuple[float, float, float, float]:

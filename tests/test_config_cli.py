@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from sagnacsim import (
     ConfigError,
+    Eom,
+    FaradayRotator,
+    HalfWavePlate,
+    Pbs,
     half_wave_voltage,
     parse_config,
     parse_number,
@@ -52,6 +58,9 @@ class TestParseNumber:
             parse_number("20m m")
         with pytest.raises(ValueError):
             parse_number("volts")
+        for text in ("infk", "nanM", "1e308k"):
+            with pytest.raises(ValueError, match="finite"):
+                parse_number(text)
 
 
 class TestParseConfig:
@@ -68,6 +77,25 @@ class TestParseConfig:
         assert len(layout.cw_path) == 5
         circuit = cfg.drive_circuit()
         assert circuit.supply_voltage == pytest.approx(half_wave_voltage(cfg.crystal_spec()))
+
+    def test_loop_section_maps_every_key(self):
+        cfg = parse_config(IDEAL_TEXT.replace("[loop]\n", (
+            "[loop]\nrotated_beam = ccw\nfr_angle_deg = 40\nhwp_angle_deg = 20\n"
+            "fr2_angle_deg = 44\nhwp2_angle_deg = 21\neom_axis = V\n"
+            "eom_residual_phase_per_volt = 0.002\npbs_extinction_t = 0.1\n"
+            "pbs_extinction_r = 0.05\noutput_port = A\n"
+        )))
+        crystal = cfg.crystal_spec()
+        layout = cfg.loop_layout()
+        assert layout.cw_path == (
+            FaradayRotator(math.radians(40)),
+            HalfWavePlate(math.radians(20)),
+            Eom(crystal, axis="V", residual_orthogonal_phase=0.002),
+            FaradayRotator(math.radians(44)),
+            HalfWavePlate(math.radians(21)),
+        )
+        assert layout.pbs == Pbs(extinction_t=0.1, extinction_r=0.05)
+        assert layout.output_port == "A"
 
     def test_malformed_number_names_line_and_key(self):
         with pytest.raises(ConfigError, match=r"line 2.*length_L"):
@@ -103,6 +131,13 @@ class TestParseConfig:
         )
         with pytest.raises(ValueError, match="length"):
             cfg.crystal_spec()
+
+    @pytest.mark.parametrize("section", ["scan", "sweep"])
+    @pytest.mark.parametrize("value", ["2.7", "0", "-3"])
+    def test_samples_must_be_positive_integer(self, section, value):
+        message = rf"line 2.*'samples' in \[{section}\].*positive integer"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(f"[{section}]\nsamples = {value}")
 
     def test_round_trip(self):
         text = IDEAL_TEXT + (
@@ -185,6 +220,25 @@ class TestCli:
         code = main(["device-matrix", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, key", [("output_port = C", "output_port"), ("eom_axis = X", "axis")]
+    )
+    def test_bad_loop_string_exit_2(self, tmp_path, capsys, line, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(IDEAL_TEXT.replace("[loop]\n", f"[loop]\n{line}\n"))
+        code = main(["device-matrix", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[loop]" in err and key in err
+
+    def test_fractional_samples_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(IDEAL_TEXT + "\n[scan]\nsamples = 2.7\n")
+        out = tmp_path / "o.csv"
+        assert main(["device-matrix", "--config", str(bad), "--out", str(out)]) == 2
+        assert "samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_domain_error_exit_3(self, config_path, tmp_path, capsys):
         code, _ = self.run("table1", config_path, tmp_path, "--sweep-max", "10.0")

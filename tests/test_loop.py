@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sagnacsim import (
     CrystalSpec,
     Eom,
     FaradayRotator,
     HalfWavePlate,
+    LossElement,
     Mirror,
     Pbs,
     build_default_loop,
@@ -139,9 +142,10 @@ class TestDeviceMatrix:
         for _ in range(10):
             layout = random_imperfect_layout(rng)
             voltages = rng.uniform(-2 * v_half, 2 * v_half, size=7)
-            batch = device_matrix_batch(layout, voltages)
-            for v, m in zip(voltages, batch):
-                np.testing.assert_allclose(m, device_matrix(layout, v), atol=1e-13)
+            for lay in (layout, dataclasses.replace(layout, output_port="A")):
+                batch = device_matrix_batch(lay, voltages)
+                for v, m in zip(voltages, batch):
+                    np.testing.assert_allclose(m, device_matrix(lay, v), atol=1e-13)
 
 
 class TestImperfections:
@@ -231,6 +235,46 @@ class TestOracleEquivalence:
         for _ in range(25):
             layout = random_imperfect_layout(rng)
             v = rng.uniform(-2 * v_half, 2 * v_half)
-            np.testing.assert_allclose(
-                device_matrix(layout, v), oracle_device_matrix(layout, v), atol=1e-12
+            for lay in (layout, dataclasses.replace(layout, output_port="A")):
+                np.testing.assert_allclose(
+                    device_matrix(lay, v), oracle_device_matrix(lay, v), atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    device_matrix_batch(lay, [v])[0], oracle_device_matrix(lay, v), atol=1e-12
+                )
+
+
+class TestLoopProperties:
+    """Invariants of generated imperfect layouts at both output ports."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        port=st.sampled_from(["A", "B"]),
+        fractions=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
+    )
+    def test_compiled_form_matches_oracle(self, seed, port, fractions):
+        v_half = half_wave_voltage(reference_crystal())
+        layout = dataclasses.replace(
+            random_imperfect_layout(np.random.default_rng(seed)), output_port=port
+        )
+        voltages = np.array(fractions) * v_half
+        batch = device_matrix_batch(layout, voltages)
+        points = independence_scan(layout, voltages)
+        transmission = math.prod(
+            el.transmission for el in layout.cw_path if isinstance(el, LossElement)
+        )
+        port_a_layout = dataclasses.replace(layout, output_port="A")
+        for v, m, point in zip(voltages, batch, points):
+            oracle = oracle_device_matrix(layout, v)
+            np.testing.assert_allclose(m, device_matrix(layout, v), atol=1e-13)
+            np.testing.assert_allclose(m, oracle, atol=1e-12)
+            assert point.infidelity == pytest.approx(scaled_identity_infidelity(oracle), abs=1e-12)
+            oracle_a = oracle_device_matrix(port_a_layout, v)
+            assert point.port_a_power == pytest.approx(
+                0.5 * np.linalg.norm(oracle_a) ** 2, abs=1e-12
             )
+            for basis in np.eye(2, dtype=complex):
+                port_b, port_a = trace_ports(layout, basis, v)
+                total = np.sum(np.abs(port_b) ** 2) + np.sum(np.abs(port_a) ** 2)
+                assert total == pytest.approx(transmission, abs=1e-12)
