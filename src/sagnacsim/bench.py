@@ -27,6 +27,7 @@ contrast) pairs need not be exactly consistent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -256,8 +257,9 @@ def switching_trace(
     # Direction of the first switching edge, judged over the first conduction
     # window (the later recharge swings the trace back the other way).
     window_end = gates.on_times[0] + circuit.gate_delay + gates.hold_duration
-    k = int(np.searchsorted(intensity.times, min(window_end, t_end)))
-    rising = intensity.samples[max(k - 1, 1)] >= intensity.samples[0]
+    n = len(intensity.samples)
+    k = bisect_left(range(n), min(window_end, t_end), key=lambda k: intensity.t0 + k * dt)
+    rising = intensity.samples[min(max(k - 1, 1), n - 1)] >= intensity.samples[0]
     edge = edge_time_10_90(intensity, falling=not rising)
     return SwitchingTrace(voltage=voltage, intensity=intensity, optical_10_90=edge)
 

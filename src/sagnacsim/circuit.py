@@ -16,11 +16,15 @@ piecewise analytically with no stepping error:
 
 The discharge is fast (tau_d ~ ns) while the recharge is slow (tau_r ~ us),
 which is what limits the repetition rate of the switch.
+
+Sample k of a waveform lies at time t0 + k * dt; the simulation and the edge
+finder address samples by that grid index and never build an array of times.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +162,9 @@ def simulate(
     ``dt`` must resolve the fast discharge edge: dt < R_on * C / 10. The
     initial voltage defaults to a fully discharged crystal.
     """
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if dt >= circuit.mosfet_on_r * circuit.total_c / 10.0:
         raise ValueError(
             f"dt = {dt:g} too coarse to resolve the discharge; "
@@ -168,31 +175,23 @@ def simulate(
     if not (-0.01 * circuit.supply_voltage <= v_start <= 1.01 * circuit.supply_voltage):
         raise ValueError("v_start outside the physical voltage range")
 
-    # Segment boundaries: (start, kind); kinds alternate off / ramp / on.
-    bounds: list[tuple[float, str]] = [(0.0, "off")]
+    # Segments (start, evaluator): off, then ramp / on / off per gate pulse.
+    segments = [(0.0, _off_segment)]
     for on_time in gates.on_times:
         s = on_time + circuit.gate_delay
-        if s >= t_end:
-            break
-        bounds.append((s, "ramp"))
-        bounds.append((min(s + circuit.gate_rise_time, t_end), "on"))
-        bounds.append((min(s + gates.hold_duration, t_end), "off"))
-    bounds = [(t, kind) for t, kind in bounds if t < t_end]
+        segments += [(s, _ramp_segment), (s + circuit.gate_rise_time, _on_segment),
+                     (s + gates.hold_duration, _off_segment)]
+    segments = [seg for seg in segments if seg[0] < t_end]
 
-    times = np.arange(math.floor(t_end / dt) + 1) * dt
-    samples = np.empty_like(times)
-    evaluators = {"off": _off_segment, "on": _on_segment, "ramp": _ramp_segment}
-
+    grid = range(math.floor(t_end / dt) + 1)
+    samples = np.empty(len(grid))
     v0 = float(v_start)
-    for (start, kind), nxt in zip(bounds, [b[0] for b in bounds[1:]] + [np.inf]):
-        seg_end = min(nxt, t_end + dt)
-        lo = int(np.searchsorted(times, start, side="left"))
-        hi = int(np.searchsorted(times, seg_end, side="left"))
-        evaluate = evaluators[kind]
-        if hi > lo:
-            samples[lo:hi] = evaluate(v0, times[lo:hi] - start, circuit)
-        if nxt is not np.inf and math.isfinite(nxt):
-            v0 = float(evaluate(v0, np.array([nxt - start]), circuit)[0])
+    for (start, evaluate), (end, _) in zip(segments, segments[1:] + [(math.inf, None)]):
+        lo = bisect_left(grid, start, key=lambda k: k * dt)
+        hi = bisect_left(grid, end, key=lambda k: k * dt)
+        samples[lo:hi] = evaluate(v0, np.arange(lo, hi) * dt - start, circuit)
+        if end < math.inf:
+            v0 = float(evaluate(v0, np.array([end - start]), circuit)[0])
     return Waveform(0.0, dt, samples)
 
 
@@ -216,15 +215,6 @@ def recovery_fraction(circuit: DriveCircuit, repetition_rate: float, hold_durati
     return 1.0 - math.exp(-(period - hold_duration) / circuit.tau_recharge)
 
 
-def _interpolate_crossing(times: np.ndarray, values: np.ndarray, k: int, level: float) -> float:
-    """Linear interpolation of the crossing time between samples k-1 and k."""
-    v0, v1 = values[k - 1], values[k]
-    if v1 == v0:
-        return float(times[k])
-    frac = (level - v0) / (v1 - v0)
-    return float(times[k - 1] + frac * (times[k] - times[k - 1]))
-
-
 def edge_time_10_90(waveform: Waveform, falling: bool) -> float:
     """Duration of the first 10%-to-90% transition of a monotone edge.
 
@@ -234,7 +224,6 @@ def edge_time_10_90(waveform: Waveform, falling: bool) -> float:
     ValueError("no edge found") when the waveform never spans both levels.
     """
     values = waveform.samples
-    times = waveform.times
     lo, hi = float(np.min(values)), float(np.max(values))
     if hi <= lo:
         raise ValueError("no edge found: waveform is constant")
@@ -242,25 +231,18 @@ def edge_time_10_90(waveform: Waveform, falling: bool) -> float:
     level_90 = lo + 0.9 * (hi - lo)
     first, second = (level_90, level_10) if falling else (level_10, level_90)
 
-    def first_crossing(start: int, level: float) -> tuple[int, float] | None:
-        if falling:
-            below = values[start:] < level
-        else:
-            below = values[start:] > level
-        hits = np.nonzero(below)[0]
-        for offset in hits:
-            k = start + int(offset)
-            if k == 0:
-                continue
-            prev, cur = values[k - 1], values[k]
-            if (prev >= level > cur) if falling else (prev <= level < cur):
-                return k, _interpolate_crossing(times, values, k, level)
-        return None
+    def crossing(start: int, level: float, which: str) -> tuple[int, float]:
+        # First k >= max(start, 1) with the level between samples k-1 and k.
+        start = max(start, 1)
+        prev, cur = values[start - 1 : -1], values[start:]
+        hits = (prev >= level) & (level > cur) if falling else (prev <= level) & (level < cur)
+        k = start + int(np.argmax(hits))
+        if not hits[k - start]:
+            raise ValueError(f"no edge found: {which} threshold never crossed")
+        t_prev = waveform.t0 + waveform.dt * (k - 1)
+        t_k = waveform.t0 + waveform.dt * k
+        frac = (level - values[k - 1]) / (values[k] - values[k - 1])
+        return k, float(t_prev + frac * (t_k - t_prev))
 
-    a = first_crossing(0, first)
-    if a is None:
-        raise ValueError("no edge found: first threshold never crossed")
-    b = first_crossing(a[0], second)
-    if b is None:
-        raise ValueError("no edge found: second threshold never crossed")
-    return b[1] - a[1]
+    k, t_first = crossing(0, first, "first")
+    return crossing(k, second, "second")[1] - t_first

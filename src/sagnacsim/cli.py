@@ -39,6 +39,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
@@ -188,9 +198,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="scene configuration file")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--sweep-max", type=float, default=None, help="sweep ceiling in volts")
-    parser.add_argument("--dt", type=float, default=None, help="transient sample step in seconds")
-    parser.add_argument("--t-end", type=float, default=None, help="transient duration in seconds")
+    parser.add_argument("--sweep-max", type=_finite_float, default=None, help="sweep ceiling in volts")
+    parser.add_argument("--dt", type=_finite_float, default=None, help="transient sample step in seconds")
+    parser.add_argument("--t-end", type=_finite_float, default=None, help="transient duration in seconds")
     try:
         args = parser.parse_args(argv)
     except _UsageError:
@@ -209,7 +219,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -123,6 +123,13 @@ class Eom:
         if not math.isfinite(self.residual_orthogonal_phase):
             raise ValueError("Eom residual phase rate must be finite")
 
+    def phase_factors(self, voltage):
+        """Phase factors (f_H, f_V) of the H and V axes at ``voltage``, a
+        scalar or an array."""
+        driven = np.exp(1j * math.pi * voltage / half_wave_voltage(self.crystal))
+        residual = np.exp(1j * self.residual_orthogonal_phase * voltage)
+        return (residual, driven) if self.axis == "V" else (driven, residual)
+
 
 @dataclass(frozen=True)
 class Pbs:
@@ -183,12 +190,7 @@ def element_matrix(element, direction: str = "forward", drive_voltage: float = 0
     elif isinstance(element, FaradayRotator):
         return rotation(element.rotation)  # same lab sense both ways
     elif isinstance(element, Eom):
-        driven = np.exp(1j * math.pi * drive_voltage / half_wave_voltage(element.crystal))
-        residual = np.exp(1j * element.residual_orthogonal_phase * drive_voltage)
-        if element.axis == "V":
-            m = np.diag([residual, driven])
-        else:
-            m = np.diag([driven, residual])
+        m = np.diag(element.phase_factors(drive_voltage))
     elif isinstance(element, Mirror):
         m = np.exp(1j * element.phase_offset) * np.eye(2, dtype=complex)
     elif isinstance(element, LossElement):

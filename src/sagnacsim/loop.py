@@ -157,10 +157,7 @@ def _port_matrices(layout: LoopLayout, voltages) -> np.ndarray:
     """Transfer matrices of both ports, shape voltages.shape + (2, 2, 2)."""
     voltages = np.asarray(voltages, dtype=float)
     parts = _compile(layout)
-    eom = layout.eom
-    driven = np.exp(1j * math.pi * voltages / half_wave_voltage(eom.crystal))
-    residual = np.exp(1j * eom.residual_orthogonal_phase * voltages)
-    factor_h, factor_v = (residual, driven) if eom.axis == "V" else (driven, residual)
+    factor_h, factor_v = layout.eom.phase_factors(voltages)
     return (factor_h[..., None, None, None] * parts[:, 0]
             + factor_v[..., None, None, None] * parts[:, 1])
 
@@ -211,11 +208,16 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> list[Sca
     scale-invariant identity infidelity (zero for a pure global phase even
     when the layout leaks power), and the input-averaged power returned to
     port A, 0.5 * ||M_A||_F^2. For the ideal default layout the phase is
-    linear with slope pi / V_half and the infidelity vanishes.
+    linear with slope pi / V_half and the infidelity vanishes. Consecutive
+    voltages must differ by less than V_half, the step at which the phase
+    moves by pi and unwrapping can no longer tell its direction.
     """
     voltages = np.asarray(voltages, dtype=float)
     if voltages.size == 0:
         raise ValueError("independence_scan needs a non-empty voltage list")
+    v_half = half_wave_voltage(layout.crystal)
+    if np.any(np.abs(np.diff(voltages)) >= v_half):
+        raise ValueError(f"voltage step reaches the half-wave voltage {v_half:g} V: phase aliases")
     ports = _port_matrices(layout, voltages)
     matrices = ports[:, _PORTS.index(layout.output_port)]
     phases = np.unwrap(_canonical_phases(matrices)[0])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sagnacsim import (
     DriveCircuit,
@@ -54,6 +55,14 @@ class TestGateSchedule:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [(-1.0, 1e-11), (0.0, 1e-11), (math.inf, 1e-11), (40e-9, math.nan), (40e-9, -1e-11)],
+    )
+    def test_grid_must_be_finite_and_positive(self, t_end, dt):
+        with pytest.raises(ValueError, match="finite and positive"):
+            simulate(reference_circuit(), GateSchedule((1e-9,), 1e-8), t_end, dt)
+
     def test_dt_precondition(self):
         c = reference_circuit()
         with pytest.raises(ValueError, match="too coarse"):
@@ -205,3 +214,89 @@ class TestWaveform:
     def test_times(self):
         w = Waveform(1.0, 0.5, np.zeros(3))
         np.testing.assert_allclose(w.times, [1.0, 1.5, 2.0])
+
+
+@st.composite
+def transients(draw):
+    """A driver, a gate train reaching into the window, and a grid of at most
+    4000 samples."""
+    on_r = draw(st.floats(5.0, 150.0))
+    circuit = DriveCircuit(
+        supply_voltage=draw(st.floats(1.0, 200.0)),
+        recharge_r=20e3,
+        total_c=50e-12,
+        mosfet_on_r=on_r,
+        gate_rise_time=on_r * 50e-12 * draw(st.floats(0.1, 3.0)),
+        gate_delay=on_r * 50e-12 * draw(st.floats(0.0, 5.0)),
+    )
+    dt = on_r * 50e-12 / 10.0 * draw(st.floats(0.05, 0.95))
+    t_end = dt * draw(st.floats(1.0, 4000.0))
+    hold = circuit.gate_rise_time * draw(st.floats(1.01, 5.0))
+    on_times = [t_end * draw(st.floats(0.0, 1.0))]
+    for _ in range(draw(st.integers(0, 3))):
+        on_times.append(on_times[-1] + hold * draw(st.floats(1.01, 3.0)))
+    v_start = circuit.supply_voltage * draw(st.floats(-0.01, 1.01))
+    return circuit, GateSchedule(tuple(on_times), hold), t_end, dt, v_start
+
+
+@st.composite
+def traces(draw):
+    """2-60 samples: arbitrary floats, or values spanning 0..10 that often sit
+    exactly on the 10% and 90% levels."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60))
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, 5.0, 9.0, 10.0]), max_size=58))
+    for extreme in (0.0, 10.0):
+        values.insert(draw(st.integers(0, len(values))), extreme)
+    return values
+
+
+def reference_edge(w, falling):
+    """Per-sample scan for the 10-90 edge; None where no edge exists."""
+    v, t = list(w.samples), list(w.times)
+    lo, hi = min(v), max(v)
+    if hi <= lo:
+        return None
+    levels = [lo + 0.9 * (hi - lo), lo + 0.1 * (hi - lo)]
+    if not falling:
+        levels.reverse()
+    k, crossings = 1, []
+    for level in levels:
+        while k < len(v) and not (
+            v[k - 1] >= level > v[k] if falling else v[k - 1] <= level < v[k]
+        ):
+            k += 1
+        if k == len(v):
+            return None
+        frac = (level - v[k - 1]) / (v[k] - v[k - 1])
+        crossings.append(float(t[k - 1] + frac * (t[k] - t[k - 1])))
+    return crossings[1] - crossings[0]
+
+
+class TestTransientProperties:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=transients())
+    def test_simulate_grid(self, case):
+        circuit, gates, t_end, dt, v_start = case
+        w = simulate(circuit, gates, t_end, dt, v_start=v_start)
+        assert len(w.samples) == math.floor(t_end / dt) + 1
+        fine = simulate(circuit, gates, t_end, dt / 2, v_start=v_start)
+        np.testing.assert_array_equal(fine.samples[::2], w.samples)
+        step = 1.01 * circuit.supply_voltage * dt / circuit.tau_discharge
+        assert np.all(np.abs(np.diff(w.samples)) <= step)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        t0=st.floats(-1.0, 1.0),
+        dt=st.floats(1e-12, 1.0),
+        samples=traces(),
+        falling=st.booleans(),
+    )
+    def test_edge_matches_per_sample_scan(self, t0, dt, samples, falling):
+        w = Waveform(t0, dt, np.array(samples))
+        want = reference_edge(w, falling)
+        if want is None:
+            with pytest.raises(ValueError, match="no edge found"):
+                edge_time_10_90(w, falling)
+        else:
+            assert edge_time_10_90(w, falling) == want

@@ -222,6 +222,37 @@ class TestCli:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("device-matrix", "--sweep-max", "nan"),
+            ("independence-scan", "--sweep-max", "inf"),
+            ("transient", "--dt", "nan"),
+            ("transient", "--t-end", "inf"),
+        ],
+    )
+    def test_non_finite_flag_usage_error(self, config_path, tmp_path, capsys, command, flag, value):
+        code, out = self.run(command, config_path, tmp_path, flag, value)
+        assert code == 1
+        assert "not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("transient", ["--t-end", "-1"], "t_end must be finite and positive"),
+            ("transient", ["--t-end", "1e-12"], "no edge found"),  # a single sample
+            # 1e17 samples exceed any x86-64 user address space, so numpy
+            # refuses the request at once and nothing is allocated.
+            ("transient", ["--t-end", "1000", "--dt", "1e-14"], "allocate"),
+            ("independence-scan", ["--sweep-max", "1e4"], "half-wave voltage"),
+        ],
+    )
+    def test_runtime_error_exit_3(self, config_path, tmp_path, capsys, command, extra, message):
+        code, _ = self.run(command, config_path, tmp_path, *extra)
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "line, key", [("output_port = C", "output_port"), ("eom_axis = X", "axis")]
     )
     def test_bad_loop_string_exit_2(self, tmp_path, capsys, line, key):

@@ -199,6 +199,16 @@ class TestIndependenceScan:
         phases = [p.global_phase for p in points]
         np.testing.assert_allclose(phases, [0.0, math.pi / 2, math.pi], atol=1e-10)
 
+    def test_step_of_half_wave_voltage_rejected(self, ideal, v_half):
+        # A step of V_half moves the phase by pi, so unwrapping aliases: 101
+        # samples over 0..100 V_half would read a slope near 0.005 rad/V
+        # instead of pi / V_half = 0.033 rad/V.
+        for voltages in (np.linspace(0.0, 100 * v_half, 101), [0.0, -v_half], [v_half, 0.0]):
+            with pytest.raises(ValueError, match="half-wave voltage"):
+                independence_scan(ideal, voltages)
+        points = independence_scan(ideal, [0.0, 0.999 * v_half, 0.5 * v_half])
+        assert points[1].global_phase == pytest.approx(0.999 * math.pi, abs=1e-9)
+
     def test_faraday_error_infidelity_voltage_independent(self, crystal, v_half):
         layout = build_default_loop(crystal, fr_angle=math.radians(40.0))
         points = independence_scan(layout, np.linspace(0, 2 * v_half, 21))
@@ -260,7 +270,9 @@ class TestLoopProperties:
         )
         voltages = np.array(fractions) * v_half
         batch = device_matrix_batch(layout, voltages)
-        points = independence_scan(layout, voltages)
+        # One scan per voltage: the drawn lists may step by V_half or more,
+        # which a single scan rejects as aliasing.
+        points = [independence_scan(layout, [v])[0] for v in voltages]
         transmission = math.prod(
             el.transmission for el in layout.cw_path if isinstance(el, LossElement)
         )
