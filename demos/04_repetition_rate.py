@@ -7,7 +7,7 @@ This script tabulates the steady-state pre-pulse voltage fraction versus
 repetition rate and locates the rate where it drops below 99%.
 """
 
-from scipy.optimize import brentq
+import math
 
 from sagnacsim import CrystalSpec, DriveCircuit, half_wave_voltage, recovery_fraction
 
@@ -27,7 +27,8 @@ for rate in (50e3, 100e3, 150e3, 200e3, 250e3, 300e3, 500e3):
     frac = recovery_fraction(circuit, rate, hold)
     print(f"  {rate / 1e3:8.0f} | {frac:.6f}")
 
-rate_99 = brentq(lambda r: recovery_fraction(circuit, r, hold) - 0.99, 50e3, 900e3)
+# 1 - exp(-(1 / rate - hold) / tau_r) = 0.99 solved for the rate
+rate_99 = 1.0 / (hold + circuit.tau_recharge * math.log(100.0))
 print(f"\nrecovery drops to 99% at {rate_99 / 1e3:.0f} kHz (hold = {hold * 1e6:.1f} us)")
 print("running at 100 kHz keeps the full half-wave swing: "
       f"{recovery_fraction(circuit, 100e3, hold):.5f} of the supply")

@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
 from .elements import half_wave_voltage
@@ -86,8 +85,8 @@ class MzSetup:
         object.__setattr__(self, "ref_arm", ref)
         if not 0.0 <= self.mode_overlap <= 1.0:
             raise ValueError(f"mode_overlap must lie in [0, 1], got {self.mode_overlap}")
-        if not self.background >= 0.0:
-            raise ValueError(f"background must be non-negative, got {self.background}")
+        if not (math.isfinite(self.background) and self.background >= 0.0):
+            raise ValueError(f"background must be finite and non-negative, got {self.background}")
         if not (math.isfinite(self.arm_imbalance) and self.arm_imbalance > 0.0):
             raise ValueError(f"arm_imbalance must be positive, got {self.arm_imbalance}")
 
@@ -211,9 +210,9 @@ def contrast_from_visibility(visibility: float) -> tuple[float, float]:
 
 
 def visibility_from_contrast(ratio: float) -> float:
-    """Inverse of ``contrast_from_visibility`` on ratios above 1."""
-    if not ratio >= 1.0:
-        raise ValueError(f"contrast ratio must be at least 1, got {ratio}")
+    """Inverse of ``contrast_from_visibility`` on finite ratios of at least 1."""
+    if not (math.isfinite(ratio) and ratio >= 1.0):
+        raise ValueError(f"contrast ratio must be finite and at least 1, got {ratio}")
     return (ratio - 1.0) / (ratio + 1.0)
 
 
@@ -285,7 +284,54 @@ def fit_mosfet_on_r(
         trial = replace(circuit, mosfet_on_r=r_on)
         return switching_trace(setup, state, trial, gates, t_end, dt).optical_10_90 - target_edge
 
-    return float(brentq(edge_error, bracket[0], bracket[1], xtol=1e-3))
+    return _brent(edge_error, bracket[0], bracket[1], xtol=1e-3)
+
+
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in the bracket [a, b] by Brent's method (R. P. Brent,
+    "Algorithms for Minimization without Derivatives", 1973, ch. 4): inverse
+    quadratic or secant steps where they shrink the bracket fast enough,
+    bisection otherwise. Converges once the bracket is narrower than
+    xtol + 4 eps |x|; raises ValueError unless f(a) and f(b) differ in sign,
+    and RuntimeError after 100 iterations."""
+    rtol = 4.0 * np.finfo(float).eps
+    x_pre, x_cur = float(a), float(b)
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if (f_pre < 0.0) == (f_cur < 0.0):
+        raise ValueError(f"f(a) and f(b) must differ in sign, got {f_pre} and {f_cur}")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(100):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre  # the bracket is [x_blk, x_cur]
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):  # keep the better estimate in x_cur
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = f(x_cur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
 
 
 def fit_reference_imperfections(

@@ -125,7 +125,11 @@ class Eom:
 
     def phase_factors(self, voltage):
         """Phase factors (f_H, f_V) of the H and V axes at ``voltage``, a
-        scalar or an array."""
+        scalar or an array; every voltage must be finite."""
+        finite = np.isfinite(voltage)
+        if not finite.all():
+            bad = np.asarray(voltage)[~finite].ravel()[0]
+            raise ValueError(f"drive voltage must be finite, got {bad}")
         driven = np.exp(1j * math.pi * voltage / half_wave_voltage(self.crystal))
         residual = np.exp(1j * self.residual_orthogonal_phase * voltage)
         return (residual, driven) if self.axis == "V" else (driven, residual)

@@ -215,10 +215,10 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> list[Sca
     voltages = np.asarray(voltages, dtype=float)
     if voltages.size == 0:
         raise ValueError("independence_scan needs a non-empty voltage list")
+    ports = _port_matrices(layout, voltages)
     v_half = half_wave_voltage(layout.crystal)
     if np.any(np.abs(np.diff(voltages)) >= v_half):
         raise ValueError(f"voltage step reaches the half-wave voltage {v_half:g} V: phase aliases")
-    ports = _port_matrices(layout, voltages)
     matrices = ports[:, _PORTS.index(layout.output_port)]
     phases = np.unwrap(_canonical_phases(matrices)[0])
     infidelities = _scaled_identity_infidelities(matrices)

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from sagnacsim import (
     DriveCircuit,
@@ -20,8 +23,11 @@ from sagnacsim import (
     sweep_curve,
     switching_trace,
     table1_report,
+    parse_config,
     visibility_from_contrast,
 )
+from sagnacsim import bench
+from sagnacsim.bench import _brent
 
 from conftest import reference_crystal
 
@@ -58,6 +64,10 @@ class TestMzSetup:
     def test_background_non_negative(self, crystal):
         with pytest.raises(ValueError):
             MzSetup(loop=build_default_loop(crystal), background=-0.1)
+
+    def test_background_finite(self, crystal):
+        with pytest.raises(ValueError, match="finite"):
+            MzSetup(loop=build_default_loop(crystal), background=math.inf)
 
     def test_imbalance_positive(self, crystal):
         with pytest.raises(ValueError):
@@ -189,6 +199,10 @@ class TestContrast:
         with pytest.raises(ValueError):
             contrast_from_visibility(1.5)
 
+    def test_infinite_ratio_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            visibility_from_contrast(math.inf)
+
     def test_round_trip_with_inverse(self):
         for ratio in (1.5, 5.0, 36.7, 500.0):
             r2, _ = contrast_from_visibility(visibility_from_contrast(ratio))
@@ -266,6 +280,44 @@ class TestSwitchingTrace:
             10e-12,
         )
         assert check.optical_10_90 == pytest.approx(1.6e-9, abs=0.05e-9)
+
+
+class TestBrent:
+    @pytest.fixture(scope="class")
+    def fitted_scene(self):
+        text = (Path(__file__).parents[1] / "demos" / "configs" / "fitted.ini").read_text()
+        cfg = parse_config(text)
+        ref = np.diag([1.0, np.exp(1j * math.radians(cfg.mz.ref_phase_deg))])
+        setup = MzSetup(cfg.loop_layout(), ref, cfg.mz.mode_overlap)
+        return setup, cfg.drive_circuit()
+
+    @pytest.mark.parametrize("target", [1.2e-9, 1.6e-9, 2.5e-9, 4e-9])
+    def test_fit_matches_brentq(self, fitted_scene, target, monkeypatch):
+        setup, circuit = fitted_scene
+        args = (setup, linear_state(0.0))
+        grid = (GateSchedule((2e-9,), 30e-9), 40e-9, 10e-12)
+        calls = []
+
+        def counted(*a):
+            calls.append(a[2].mosfet_on_r)
+            return switching_trace(*a)
+
+        monkeypatch.setattr(bench, "switching_trace", counted)
+        fitted = fit_mosfet_on_r(*args, circuit, *grid, target)
+        fit_calls = len(calls)
+        root = brentq(
+            lambda r: counted(*args, replace(circuit, mosfet_on_r=r), *grid).optical_10_90 - target,
+            5.0, 150.0, xtol=1e-3,
+        )
+        assert abs(fitted - root) <= 1e-3
+        assert fit_calls <= len(calls) - fit_calls
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(ValueError, match="sign"):
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-3)
+
+    def test_endpoint_root(self):
+        assert _brent(lambda x: x - 2.0, 2.0, 5.0, 1e-3) == 2.0
 
 
 class TestTable1Report:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import dawsn
 
 from sagnacsim import (
     DriveCircuit,
@@ -12,6 +13,7 @@ from sagnacsim import (
     recovery_fraction,
     simulate,
 )
+from sagnacsim.circuit import _dawson
 
 
 def reference_circuit(mosfet_on_r=25.0, gate_rise_time=400e-12, supply=96.476):
@@ -52,6 +54,18 @@ class TestGateSchedule:
     def test_periodic_builder(self):
         g = GateSchedule.periodic(100e3, 3, 1e-6, start=2e-6)
         np.testing.assert_allclose(g.on_times, (2e-6, 12e-6, 22e-6), rtol=1e-12)
+
+    def test_nan_on_time_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            GateSchedule((math.nan,), 1e-6)
+
+    def test_infinite_on_time_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            GateSchedule((math.inf,), 1e-6)
+
+    def test_periodic_zero_rate_rejected(self):
+        with pytest.raises(ValueError, match="repetition rate"):
+            GateSchedule.periodic(0.0, 3, 1e-6)
 
 
 class TestSimulate:
@@ -162,6 +176,10 @@ class TestRecoveryFraction:
         with pytest.raises(ValueError, match="hold"):
             recovery_fraction(c, 1e6, 2e-6)
 
+    def test_nan_hold_rejected(self):
+        with pytest.raises(ValueError, match="hold duration"):
+            recovery_fraction(reference_circuit(), 100e3, math.nan)
+
     def test_cross_validates_against_simulate(self):
         c = reference_circuit()
         rate, hold = 150e3, 20e-9
@@ -214,6 +232,26 @@ class TestWaveform:
     def test_times(self):
         w = Waveform(1.0, 0.5, np.zeros(3))
         np.testing.assert_allclose(w.times, [1.0, 1.5, 2.0])
+
+
+# Both sides of the branch boundaries at 0.2 and 10, and the extremes.
+_DAWSON_GRID = np.concatenate([
+    [0.0, 1e-300, 1e-12, 30.0, 1e3],
+    np.nextafter([0.2, 0.2, 10.0, 10.0], [0.0, 1.0, 0.0, 20.0]),
+    np.linspace(0.0, 12.0, 2401),
+    np.geomspace(1e-12, 1e3, 1501),
+])
+
+
+class TestDawson:
+    def test_matches_scipy_on_grid(self):
+        x = np.concatenate([_DAWSON_GRID, -_DAWSON_GRID])
+        np.testing.assert_allclose(_dawson(x), dawsn(x), rtol=1e-13, atol=0.0)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_matches_scipy_on_finite_floats(self, x):
+        np.testing.assert_allclose(_dawson([x]), dawsn([x]), rtol=1e-13, atol=0.0)
 
 
 @st.composite

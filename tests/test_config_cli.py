@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from sagnacsim import (
     parse_number,
     render_config,
 )
-from sagnacsim.cli import main
+from sagnacsim.cli import _COMMANDS, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 IDEAL_TEXT = """\
 # ideal scene
@@ -282,3 +288,21 @@ class TestCli:
         assert main(["independence-scan", "--config", str(config_path), "--out", str(out1)]) == 0
         assert main(["independence-scan", "--config", str(config_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_commands_do_not_import_scipy(tmp_path):
+    # scipy is a test dependency only; importing it would cost every cold
+    # command far more than its own work.
+    code = (
+        "import sys\n"
+        "from sagnacsim.cli import main\n"
+        f"for command in {_COMMANDS!r}:\n"
+        f"    assert main([command, '--config', {str(ROOT / 'demos/configs/fitted.ini')!r},"
+        f" '--out', {str(tmp_path / 'out.csv')!r}]) == 0, command\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr

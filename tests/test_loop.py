@@ -217,6 +217,25 @@ class TestIndependenceScan:
         assert max(p.port_a_power for p in points) > 1e-3  # but real leakage
 
 
+class TestNonFiniteVoltage:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda layout, v: trace(layout, linear_state(0.0), v),
+            lambda layout, v: trace_ports(layout, linear_state(0.3), v),
+            device_matrix,
+            lambda layout, v: device_matrix_batch(layout, [0.0, v, 1.0]),
+            # without the check, every unwrapped phase after a NaN row is NaN too
+            lambda layout, v: independence_scan(layout, [0.0, v, 1.0]),
+        ],
+        ids=["trace", "trace_ports", "device_matrix", "device_matrix_batch", "independence_scan"],
+    )
+    def test_every_entry_point_rejects(self, ideal, call, bad):
+        with pytest.raises(ValueError, match="finite"):
+            call(ideal, bad)
+
+
 class TestEomPlacement:
     def test_sliding_past_commuting_neighbors_changes_nothing(self, crystal, v_half):
         # The midpoint position matters for beam timing, not for the static
