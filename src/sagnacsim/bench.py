@@ -153,7 +153,11 @@ def _extrema_spacing(voltages: np.ndarray, values: np.ndarray) -> float:
             signs[i] = signs[i - 1]
     flips = np.nonzero(signs[1:] * signs[:-1] < 0)[0] + 1
     if len(flips) >= 2:
-        return float(np.median(np.diff(voltages[flips])))
+        # The median as np.median takes it (the mean of the two middle values
+        # for an even count), without the numpy.ma import np.median costs.
+        spacings = np.sort(np.diff(voltages[flips]))
+        mid = len(spacings) // 2
+        return float(spacings[mid] if len(spacings) % 2 else (spacings[mid - 1] + spacings[mid]) / 2)
     return float(abs(voltages[int(np.argmax(values))] - voltages[int(np.argmin(values))]))
 
 

@@ -24,6 +24,9 @@ which is what limits the repetition rate of the switch.
 
 Sample k of a waveform lies at time t0 + k * dt; the simulation and the edge
 finder address samples by that grid index and never build an array of times.
+Both walk the samples in fixed blocks that fit in a core's L2 cache:
+``simulate`` evaluates each segment block by block into the output, and the
+edge finder searches block by block and stops at the first crossing.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ __all__ = [
     "recovery_fraction",
     "simulate",
 ]
+
+
+# Samples per block when walking a waveform: 256 KB of float64.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -247,12 +254,18 @@ def simulate(
     for (start, evaluate), (end, _) in zip(segments, segments[1:] + [(math.inf, None)]):
         lo = bisect_left(grid, start, key=lambda k: k * dt)
         hi = bisect_left(grid, end, key=lambda k: k * dt)
-        # One call per segment: its samples, then its end value, which starts
-        # the next segment (unused after the last one, where end is inf).
-        u = np.arange(lo, hi + 1) * dt - start
-        u[-1] = end - start
-        values = evaluate(v0, u, circuit)
-        samples[lo:hi], v0 = values[:-1], float(values[-1])
+        # One call per block of samples [a, b), plus the sample after it; in
+        # the last block that is the segment's end value, which starts the
+        # next segment (unused after the last one, where end is inf). An empty
+        # segment still takes one call, for its end value.
+        for a in range(lo, max(hi, lo + 1), _BLOCK):
+            b = min(a + _BLOCK, hi)
+            u = np.arange(a, b + 1) * dt - start
+            if b == hi:
+                u[-1] = end - start
+            values = evaluate(v0, u, circuit)
+            samples[a:b] = values[:-1]
+        v0 = float(values[-1])
     return Waveform(0.0, dt, samples)
 
 
@@ -293,12 +306,17 @@ def edge_time_10_90(waveform: Waveform, falling: bool) -> float:
     first, second = (level_90, level_10) if falling else (level_10, level_90)
 
     def crossing(start: int, level: float, which: str) -> tuple[int, float]:
-        # First k >= max(start, 1) with the level between samples k-1 and k.
-        start = max(start, 1)
-        prev, cur = values[start - 1 : -1], values[start:]
-        hits = (prev >= level) & (level > cur) if falling else (prev <= level) & (level < cur)
-        k = start + int(np.argmax(hits))
-        if not hits[k - start]:
+        # First k >= max(start, 1) with the level between samples k-1 and k,
+        # searched block by block so that the search ends with the first hit.
+        n = len(values)
+        for a in range(max(start, 1), n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            prev, cur = values[a - 1 : b - 1], values[a:b]
+            hits = (prev >= level) & (level > cur) if falling else (prev <= level) & (level < cur)
+            k = a + int(np.argmax(hits))
+            if hits[k - a]:
+                break
+        else:
             raise ValueError(f"no edge found: {which} threshold never crossed")
         t_prev = waveform.t0 + waveform.dt * (k - 1)
         t_k = waveform.t0 + waveform.dt * k

@@ -66,6 +66,16 @@ class CrystalSpec:
             raise ValueError(
                 f"crystal length ({self.length}) must exceed thickness ({self.thickness})"
             )
+        # Extreme but finite constants can overflow or underflow n_e**3 or
+        # the products around it.
+        try:
+            v_half = half_wave_voltage(self)
+        except ZeroDivisionError:
+            v_half = math.inf
+        except OverflowError:
+            v_half = 0.0
+        if not (math.isfinite(v_half) and v_half > 0.0):
+            raise ValueError(f"crystal half-wave voltage must be finite and positive, got {v_half}")
 
 
 def half_wave_voltage(crystal: CrystalSpec) -> float:
@@ -125,13 +135,18 @@ class Eom:
 
     def phase_factors(self, voltage):
         """Phase factors (f_H, f_V) of the H and V axes at ``voltage``, a
-        scalar or an array; every voltage must be finite."""
-        finite = np.isfinite(voltage)
+        scalar or an array; every phase, pi * V / V_half and the residual,
+        must be finite."""
+        # A finite voltage can still overflow its phase, so the phases are
+        # checked, not the voltage alone.
+        with np.errstate(over="ignore", invalid="ignore"):
+            driven = 1j * math.pi * voltage / half_wave_voltage(self.crystal)
+            residual = 1j * self.residual_orthogonal_phase * voltage
+        finite = np.isfinite(driven) & np.isfinite(residual)
         if not finite.all():
             bad = np.asarray(voltage)[~finite].ravel()[0]
-            raise ValueError(f"drive voltage must be finite, got {bad}")
-        driven = np.exp(1j * math.pi * voltage / half_wave_voltage(self.crystal))
-        residual = np.exp(1j * self.residual_orthogonal_phase * voltage)
+            raise ValueError(f"modulator phase must be finite, got drive voltage {bad}")
+        driven, residual = np.exp(driven), np.exp(residual)
         return (residual, driven) if self.axis == "V" else (driven, residual)
 
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sagnacsim import (
     recovery_fraction,
     simulate,
 )
+from sagnacsim import circuit as circuit_module
 from sagnacsim.circuit import _dawson
 
 
@@ -311,30 +313,73 @@ def reference_edge(w, falling):
     return crossings[1] - crossings[0]
 
 
+def check_simulate_grid(case):
+    circuit, gates, t_end, dt, v_start = case
+    w = simulate(circuit, gates, t_end, dt, v_start=v_start)
+    assert len(w.samples) == math.floor(t_end / dt) + 1
+    fine = simulate(circuit, gates, t_end, dt / 2, v_start=v_start)
+    np.testing.assert_array_equal(fine.samples[::2], w.samples)
+    step = 1.01 * circuit.supply_voltage * dt / circuit.tau_discharge
+    assert np.all(np.abs(np.diff(w.samples)) <= step)
+
+
+def check_edge_matches_per_sample_scan(t0, dt, samples, falling):
+    w = Waveform(t0, dt, np.array(samples))
+    want = reference_edge(w, falling)
+    if want is None:
+        with pytest.raises(ValueError, match="no edge found"):
+            edge_time_10_90(w, falling)
+    else:
+        assert edge_time_10_90(w, falling) == want
+
+
+edge_cases = given(
+    t0=st.floats(-1.0, 1.0),
+    dt=st.floats(1e-12, 1.0),
+    samples=traces(),
+    falling=st.booleans(),
+)
+
+
+# Block sizes far below the default put segment ends, crossings and the final
+# partial block on and around block edges.
+SMALL_BLOCKS = [1, 2, 7]
+
+
+def blocks_of(size):
+    return mock.patch.object(circuit_module, "_BLOCK", size)
+
+
 class TestTransientProperties:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(case=transients())
     def test_simulate_grid(self, case):
-        circuit, gates, t_end, dt, v_start = case
-        w = simulate(circuit, gates, t_end, dt, v_start=v_start)
-        assert len(w.samples) == math.floor(t_end / dt) + 1
-        fine = simulate(circuit, gates, t_end, dt / 2, v_start=v_start)
-        np.testing.assert_array_equal(fine.samples[::2], w.samples)
-        step = 1.01 * circuit.supply_voltage * dt / circuit.tau_discharge
-        assert np.all(np.abs(np.diff(w.samples)) <= step)
+        check_simulate_grid(case)
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=transients())
+    def test_simulate_grid_in_small_blocks(self, block, case):
+        with blocks_of(block):
+            check_simulate_grid(case)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(
-        t0=st.floats(-1.0, 1.0),
-        dt=st.floats(1e-12, 1.0),
-        samples=traces(),
-        falling=st.booleans(),
-    )
+    @edge_cases
     def test_edge_matches_per_sample_scan(self, t0, dt, samples, falling):
-        w = Waveform(t0, dt, np.array(samples))
-        want = reference_edge(w, falling)
-        if want is None:
-            with pytest.raises(ValueError, match="no edge found"):
-                edge_time_10_90(w, falling)
-        else:
-            assert edge_time_10_90(w, falling) == want
+        check_edge_matches_per_sample_scan(t0, dt, samples, falling)
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @edge_cases
+    def test_edge_matches_per_sample_scan_in_small_blocks(self, block, t0, dt, samples, falling):
+        with blocks_of(block):
+            check_edge_matches_per_sample_scan(t0, dt, samples, falling)
+
+    def test_small_blocks_give_the_same_samples(self):
+        c = reference_circuit()
+        gates = GateSchedule((2e-9, 62e-9, 122e-9), 30e-9)
+        want = simulate(c, gates, 200e-9, 10e-12, v_start=c.supply_voltage).samples
+        assert len(want) < circuit_module._BLOCK
+        with blocks_of(7):
+            got = simulate(c, gates, 200e-9, 10e-12, v_start=c.supply_voltage).samples
+        assert np.array_equal(got, want)

@@ -277,6 +277,14 @@ class TestCli:
         assert "samples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_degenerate_half_wave_voltage_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(IDEAL_TEXT.replace("n_e = 2.20", "n_e = 1e-200"))
+        out = tmp_path / "o.csv"
+        assert main(["device-matrix", "--config", str(bad), "--out", str(out)]) == 3
+        assert "half-wave voltage must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_domain_error_exit_3(self, config_path, tmp_path, capsys):
         code, _ = self.run("table1", config_path, tmp_path, "--sweep-max", "10.0")
         assert code == 3
@@ -292,7 +300,8 @@ class TestCli:
 
 def test_cli_commands_do_not_import_scipy(tmp_path):
     # scipy is a test dependency only; importing it would cost every cold
-    # command far more than its own work.
+    # command far more than its own work. numpy.ma, which np.median loads,
+    # would cost table1 about 9 ms.
     code = (
         "import sys\n"
         "from sagnacsim.cli import main\n"
@@ -300,6 +309,7 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
         f"    assert main([command, '--config', {str(ROOT / 'demos/configs/fitted.ini')!r},"
         f" '--out', {str(tmp_path / 'out.csv')!r}]) == 0, command\n"
         "assert 'scipy' not in sys.modules\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(

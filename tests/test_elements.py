@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,19 @@ class TestCrystalSpec:
     def test_rejects_short_crystal(self):
         with pytest.raises(ValueError, match="length"):
             CrystalSpec(length=1e-3, thickness=2e-3, wavelength=633e-9, n_e=2.2, r33=30e-12)
+
+    @pytest.mark.parametrize(
+        "n_e, r33",
+        [
+            (1e-200, 30e-12),  # n_e**3 underflows to 0: V_half would be infinite
+            (1e-110, 30e-12),
+            (1e200, 30e-12),  # n_e**3 overflows: V_half would be 0
+            (2.2, 1e-320),  # V_half overflows to inf
+        ],
+    )
+    def test_rejects_degenerate_half_wave_voltage(self, n_e, r33):
+        with pytest.raises(ValueError, match="half-wave voltage must be finite and positive"):
+            CrystalSpec(length=20e-3, thickness=1e-3, wavelength=633e-9, n_e=n_e, r33=r33)
 
 
 class TestHalfWaveVoltage:
@@ -82,6 +96,22 @@ class TestElementMatrices:
         m = element_matrix(eom, drive_voltage=v)
         assert m[0, 0] == pytest.approx(np.exp(1j * math.pi * v / half_wave_voltage(crystal)))
         assert m[1, 1] == pytest.approx(np.exp(1j * 0.002 * v))
+
+    @pytest.mark.parametrize(
+        "residual, voltage",
+        [
+            (0.0, 1e308),  # pi * V / V_half overflows
+            (0.0, -1e308),
+            (1e10, 1e300),  # only the residual phase overflows
+        ],
+    )
+    def test_eom_phase_overflow_rejected(self, residual, voltage):
+        eom = Eom(reference_crystal(), residual_orthogonal_phase=residual)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in (voltage, np.array([0.0, voltage])):
+                with pytest.raises(ValueError, match="modulator phase must be finite"):
+                    eom.phase_factors(v)
 
     def test_mirror_and_loss(self):
         np.testing.assert_allclose(

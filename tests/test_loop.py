@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from sagnacsim import (
     trace,
     trace_ports,
 )
+from sagnacsim.config import parse_config
 from sagnacsim.loop import LoopLayout
 
 from conftest import (
@@ -234,6 +237,16 @@ class TestNonFiniteVoltage:
     def test_every_entry_point_rejects(self, ideal, call, bad):
         with pytest.raises(ValueError, match="finite"):
             call(ideal, bad)
+
+    @pytest.mark.parametrize("call", [device_matrix_batch, independence_scan])
+    def test_finite_voltage_whose_phase_overflows(self, call):
+        # pi * 1e308 / V_half overflows; it must raise, not warn and return NaN.
+        path = Path(__file__).resolve().parents[1] / "demos/configs/fitted.ini"
+        layout = parse_config(path.read_text()).loop_layout()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="modulator phase must be finite"):
+                call(layout, [1e308])
 
 
 class TestEomPlacement:
