@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from .bench import MzSetup, switching_trace, table1_report, insertion_loss
+from .bench import insertion_loss, switching_trace, table1_report
 from .circuit import GateSchedule, recovery_fraction
 from .config import ConfigError, SceneConfig, parse_config
 from .elements import half_wave_voltage
@@ -60,43 +61,30 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[float]]
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _mz_setup(cfg: SceneConfig) -> MzSetup:
-    layout = cfg.loop_layout()
-    mz = cfg.mz
-    if mz is None:
-        return MzSetup(loop=layout)
-    delta = math.radians(mz.ref_phase_deg)
-    ref = np.diag([1.0, np.exp(1j * delta)])
-    return MzSetup(
-        loop=layout,
-        ref_arm=ref,
-        mode_overlap=mz.mode_overlap,
-        background=mz.background,
-        arm_imbalance=mz.arm_imbalance,
-    )
+def _resolve(cfg: SceneConfig, args: argparse.Namespace) -> SceneConfig:
+    """The scene a command runs with: the config with the CLI flags applied."""
+    if args.sweep_max is not None:
+        cfg = replace(
+            cfg,
+            scan=replace(cfg.scan, v_max=args.sweep_max),
+            sweep=replace(cfg.sweep, v_max=args.sweep_max),
+        )
+    trace = {k: v for k, v in (("t_end", args.t_end), ("dt", args.dt)) if v is not None}
+    return replace(cfg, trace=replace(cfg.trace, **trace))
 
 
-def _scan_voltages(cfg: SceneConfig, sweep_max: float | None) -> np.ndarray:
-    scan = cfg.scan
-    v_max = sweep_max
-    if v_max is None:
-        v_max = scan.v_max if scan is not None and scan.v_max is not None else None
+def _scan_voltages(cfg: SceneConfig) -> np.ndarray:
+    v_max = cfg.scan.v_max
     if v_max is None:
         v_max = 2.0 * half_wave_voltage(cfg.crystal_spec())
-    samples = scan.samples if scan is not None else 101
-    return np.linspace(0.0, v_max, samples)
+    return np.linspace(0.0, v_max, cfg.scan.samples)
 
 
-def _run_device_matrix(cfg: SceneConfig, out: str, args) -> str:
+def _run_device_matrix(cfg: SceneConfig, out: str) -> str:
     layout = cfg.loop_layout()
-    voltages = _scan_voltages(cfg, args.sweep_max)
+    voltages = _scan_voltages(cfg)
     matrices = device_matrix_batch(layout, voltages)
-    rows = []
-    for v, m in zip(voltages, matrices):
-        rows.append(
-            [v, m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag,
-             m[1, 0].real, m[1, 0].imag, m[1, 1].real, m[1, 1].imag]
-        )
+    rows = np.column_stack([voltages, matrices.reshape(-1, 4).view(float)])
     header = ["voltage_V", "m00_re", "m00_im", "m01_re", "m01_im",
               "m10_re", "m10_im", "m11_re", "m11_im"]
     _write_csv(out, header, rows)
@@ -104,26 +92,18 @@ def _run_device_matrix(cfg: SceneConfig, out: str, args) -> str:
     return f"device-matrix: {len(voltages)} voltages, v_half={_fmt(v_half)} V"
 
 
-def _run_independence_scan(cfg: SceneConfig, out: str, args) -> str:
-    layout = cfg.loop_layout()
-    voltages = _scan_voltages(cfg, args.sweep_max)
-    points = independence_scan(layout, voltages)
-    rows = [[p.voltage, p.global_phase, p.infidelity, p.port_a_power] for p in points]
-    _write_csv(out, ["voltage_V", "phase_rad_unwrapped", "infidelity", "portA_power"], rows)
+def _run_independence_scan(cfg: SceneConfig, out: str) -> str:
+    points = independence_scan(cfg.loop_layout(), _scan_voltages(cfg))
+    _write_csv(out, ["voltage_V", "phase_rad_unwrapped", "infidelity", "portA_power"], points)
     worst = max(p.infidelity for p in points)
     return f"independence-scan: {len(points)} voltages, max_infidelity={worst:.3e}"
 
 
-def _run_table1(cfg: SceneConfig, out: str, args) -> str:
-    setup = _mz_setup(cfg)
-    sweep = cfg.sweep
-    v_max = args.sweep_max
-    if v_max is None and sweep is not None and sweep.v_max is not None:
-        v_max = sweep.v_max
-    n = sweep.samples if sweep is not None else 1001
+def _run_table1(cfg: SceneConfig, out: str) -> str:
     angles_deg = (0.0, 45.0, 90.0)
+    sweep = cfg.sweep
     records = table1_report(
-        setup, [math.radians(a) for a in angles_deg], v_max=v_max, n=n
+        cfg.mz_setup(), [math.radians(a) for a in angles_deg], v_max=sweep.v_max, n=sweep.samples
     )
     rows = [
         [deg, r.v_half_fit, r.visibility, r.contrast_ratio, r.contrast_db]
@@ -136,32 +116,22 @@ def _run_table1(cfg: SceneConfig, out: str, args) -> str:
     return f"table1: visibility {summary}"
 
 
-def _run_transient(cfg: SceneConfig, out: str, args) -> str:
-    setup = _mz_setup(cfg)
+def _run_transient(cfg: SceneConfig, out: str) -> str:
+    setup = cfg.mz_setup()
     circuit = cfg.drive_circuit()
-    trace_cfg = cfg.trace
-    if trace_cfg is None:
-        from .config import TraceConfig
-
-        trace_cfg = TraceConfig()
-    t_end = args.t_end if args.t_end is not None else trace_cfg.t_end
-    dt = args.dt if args.dt is not None else trace_cfg.dt
-    gates = GateSchedule((trace_cfg.gate_on,), trace_cfg.hold)
-    state = linear_state(math.radians(trace_cfg.input_angle_deg))
-    result = switching_trace(setup, state, circuit, gates, t_end, dt)
+    trace = cfg.trace
+    gates = GateSchedule((trace.gate_on,), trace.hold)
+    state = linear_state(math.radians(trace.input_angle_deg))
+    result = switching_trace(setup, state, circuit, gates, trace.t_end, trace.dt)
     times = result.voltage.times
     rows = np.column_stack([times, result.voltage.samples, result.intensity.samples])
     _write_csv(out, ["t_s", "v_V", "intensity"], rows)
     return f"transient: optical_10_90={_fmt(result.optical_10_90)} s"
 
 
-def _run_recovery(cfg: SceneConfig, out: str, args) -> str:
+def _run_recovery(cfg: SceneConfig, out: str) -> str:
     circuit = cfg.drive_circuit()
     rec = cfg.recovery
-    if rec is None:
-        from .config import RecoveryConfig
-
-        rec = RecoveryConfig()
     rates = np.geomspace(10e3, 1e6, 61)
     rows = [[rate, recovery_fraction(circuit, rate, rec.hold)] for rate in rates]
     _write_csv(out, ["repetition_rate_hz", "recovery_fraction"], rows)
@@ -169,18 +139,16 @@ def _run_recovery(cfg: SceneConfig, out: str, args) -> str:
     return f"recovery_fraction={fraction:.5f}"
 
 
-def _run_loss(cfg: SceneConfig, out: str, args) -> str:
+def _run_loss(cfg: SceneConfig, out: str) -> str:
     if cfg.loss is None:
         raise ConfigError("missing required section [loss]")
     transmissions = cfg.loss.transmissions
-    rows = []
-    cumulative = 1.0
-    for i, t in enumerate(transmissions):
-        cumulative *= t
-        rows.append([float(i), t, -10.0 * math.log10(cumulative)])
-    total = insertion_loss(transmissions)
+    rows = [
+        [float(i), t, insertion_loss(transmissions[: i + 1])]
+        for i, t in enumerate(transmissions)
+    ]
     _write_csv(out, ["index", "transmission", "cumulative_db"], rows)
-    return f"insertion_loss_db={_fmt(total)}"
+    return f"insertion_loss_db={_fmt(rows[-1][2])}"
 
 
 _RUNNERS = {
@@ -215,7 +183,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         cfg = parse_config(text)
-        summary = _RUNNERS[args.command](cfg, args.out, args)
+        summary = _RUNNERS[args.command](_resolve(cfg, args), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,9 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
+import numpy as np
+
+from .bench import MzSetup
 from .circuit import DriveCircuit
 from .elements import CrystalSpec, Pbs, half_wave_voltage
 from .loop import LoopLayout, build_default_loop
@@ -26,6 +29,10 @@ __all__ = [
 ]
 
 _SI_SUFFIXES = {"p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "M": 1e6}
+
+# Largest [scan]/[sweep] sample count: 500 times the largest shipped value,
+# and far below a request that would exhaust memory (1e10 samples is 80 GB).
+_MAX_SAMPLES = 10**6
 
 
 class ConfigError(ValueError):
@@ -122,14 +129,17 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """A parsed scene. A section with required keys is None when omitted;
+    every other section then holds its defaults."""
+
     crystal: Optional[CrystalConfig] = None
-    loop: Optional[LoopConfig] = None
-    mz: Optional[MzConfig] = None
+    loop: LoopConfig = LoopConfig()
+    mz: MzConfig = MzConfig()
     circuit: Optional[CircuitConfig] = None
-    scan: Optional[ScanConfig] = None
-    sweep: Optional[SweepConfig] = None
-    trace: Optional[TraceConfig] = None
-    recovery: Optional[RecoveryConfig] = None
+    scan: ScanConfig = ScanConfig()
+    sweep: SweepConfig = SweepConfig()
+    trace: TraceConfig = TraceConfig()
+    recovery: RecoveryConfig = RecoveryConfig()
     loss: Optional[LossConfig] = None
 
     def crystal_spec(self) -> CrystalSpec:
@@ -146,7 +156,7 @@ class SceneConfig:
 
     def loop_layout(self) -> LoopLayout:
         crystal = self.crystal_spec()
-        lp = self.loop if self.loop is not None else LoopConfig()
+        lp = self.loop
         try:
             return build_default_loop(
                 crystal,
@@ -162,6 +172,16 @@ class SceneConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"[loop]: {exc}") from None
+
+    def mz_setup(self) -> MzSetup:
+        mz = self.mz
+        return MzSetup(
+            loop=self.loop_layout(),
+            ref_arm=np.diag([1.0, np.exp(1j * math.radians(mz.ref_phase_deg))]),
+            mode_overlap=mz.mode_overlap,
+            background=mz.background,
+            arm_imbalance=mz.arm_imbalance,
+        )
 
     def drive_circuit(self) -> DriveCircuit:
         if self.circuit is None:
@@ -207,8 +227,10 @@ def _convert(section: str, key: str, raw: str, lineno: int):
             return tuple(parse_number(part) for part in items)
         value = parse_number(raw)
         if key == "samples":
-            if not (value.is_integer() and value >= 1):
-                raise ValueError(f"must be a positive integer, got {raw.strip()!r}")
+            if not (value.is_integer() and 1 <= value <= _MAX_SAMPLES):
+                raise ValueError(
+                    f"must be a positive integer no larger than {_MAX_SAMPLES}, got {raw.strip()!r}"
+                )
             return int(value)
         return value
     except ValueError as exc:
@@ -218,9 +240,13 @@ def _convert(section: str, key: str, raw: str, lineno: int):
 def parse_config(text: str) -> SceneConfig:
     """Parse configuration text into a SceneConfig.
 
-    Defaults are filled in for omitted optional keys; required keys of a
-    present section must appear. Unknown sections/keys and duplicate keys
-    are rejected with the offending line number.
+    Defaults are filled in for omitted optional keys, and an omitted section
+    without required keys ([loop], [mz], [scan], [sweep], [trace],
+    [recovery]) takes all its defaults; required keys of a present section
+    must appear. ``samples`` must be a positive integer no larger than
+    1000000. Unknown sections/keys and duplicate keys are rejected with the
+    offending line number. The CLI's --sweep-max, --t-end and --dt flags
+    override the parsed v_max, t_end and dt.
     """
     raw_sections: dict[str, dict[str, object]] = {}
     key_fields: dict[str, dict] = {

@@ -40,6 +40,25 @@ C = 50p
 mosfet_on_R = 24
 """
 
+# The defaults of every section that has no required key, spelled out. The
+# exponent notation parses to the very floats of the dataclass defaults
+# ('30n' would give 30 * 1e-9, which is not 30e-9).
+DEFAULT_SECTIONS = """
+[scan]
+samples = 101
+[sweep]
+samples = 1001
+[trace]
+t_end = 30e-9
+dt = 10e-12
+gate_on = 2e-9
+hold = 1e-6
+input_angle_deg = 0
+[recovery]
+repetition_rate = 100e3
+hold = 0
+"""
+
 
 class TestParseNumber:
     @pytest.mark.parametrize(
@@ -139,11 +158,15 @@ class TestParseConfig:
             cfg.crystal_spec()
 
     @pytest.mark.parametrize("section", ["scan", "sweep"])
-    @pytest.mark.parametrize("value", ["2.7", "0", "-3"])
+    @pytest.mark.parametrize("value", ["2.7", "0", "-3", "1e10"])
     def test_samples_must_be_positive_integer(self, section, value):
         message = rf"line 2.*'samples' in \[{section}\].*positive integer"
         with pytest.raises(ConfigError, match=message):
             parse_config(f"[{section}]\nsamples = {value}")
+
+    def test_omitted_sections_take_their_defaults(self):
+        omitted = IDEAL_TEXT.replace("[loop]\n[mz]\n", "")
+        assert parse_config(omitted) == parse_config(IDEAL_TEXT + DEFAULT_SECTIONS)
 
     def test_round_trip(self):
         text = IDEAL_TEXT + (
@@ -289,6 +312,45 @@ class TestCli:
         code, _ = self.run("table1", config_path, tmp_path, "--sweep-max", "10.0")
         assert code == 3
         assert "sweep range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-0.5", "0.5, 0"])
+    def test_bad_transmissions_exit_3(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(IDEAL_TEXT + f"\n[loss]\ntransmissions = {value}\n")
+        out = tmp_path / "o.csv"
+        assert main(["loss", "--config", str(bad), "--out", str(out)]) == 3
+        assert "transmissions must lie in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_omitted_sections_give_the_same_outputs(self, tmp_path, capsys):
+        loss = "\n[loss]\ntransmissions = 0.794\n"
+        texts = (IDEAL_TEXT.replace("[loop]\n[mz]\n", "") + loss, IDEAL_TEXT + DEFAULT_SECTIONS + loss)
+        for command in _COMMANDS:
+            outputs = []
+            for k, text in enumerate(texts):
+                path = tmp_path / f"scene{k}.ini"
+                path.write_text(text)
+                code, out = self.run(command, path, tmp_path)
+                assert code == 0, command
+                outputs.append((out.read_bytes(), capsys.readouterr().out))
+            assert outputs[0] == outputs[1], command
+
+    @pytest.mark.parametrize(
+        "command, section, flags, column, step, last",
+        [
+            ("device-matrix", "[scan]\nv_max = 50\n", ["--sweep-max", "120"], 0, 1.2, 120.0),
+            ("transient", "[trace]\ndt = 10p\n", ["--dt", "5e-12", "--t-end", "20e-9"], 0, 5e-12, 20e-9),
+        ],
+    )
+    def test_flags_override_config(self, tmp_path, command, section, flags, column, step, last):
+        path = tmp_path / "scene.ini"
+        path.write_text(IDEAL_TEXT + section)
+        code, out = self.run(command, path, tmp_path, *flags)
+        assert code == 0
+        values = np.loadtxt(out, delimiter=",", skiprows=1)[:, column]
+        assert len(values) == round(last / step) + 1
+        assert np.diff(values) == pytest.approx(step, rel=1e-6)
+        assert values[-1] == pytest.approx(last, rel=1e-12)
 
     def test_byte_identical_reruns(self, config_path, tmp_path):
         out1 = tmp_path / "a.csv"
