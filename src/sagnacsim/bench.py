@@ -145,13 +145,11 @@ def _extrema_spacing(voltages: np.ndarray, values: np.ndarray) -> float:
     Uses interior extrema (sign changes of the sampled derivative) when at
     least two exist, otherwise the spacing between the global extremes.
     """
-    d = np.diff(values)
-    signs = np.sign(d)
-    # carry the previous nonzero sign through flat spots
-    for i in range(1, len(signs)):
-        if signs[i] == 0:
-            signs[i] = signs[i - 1]
-    flips = np.nonzero(signs[1:] * signs[:-1] < 0)[0] + 1
+    signs = np.sign(np.diff(values))
+    # A flip is a nonzero slope sign that differs from the previous nonzero
+    # one, so a flat spot between two slopes of opposite sign is one flip.
+    steps = np.flatnonzero(signs)
+    flips = steps[1:][signs[steps[1:]] != signs[steps[:-1]]]
     if len(flips) >= 2:
         # The median as np.median takes it (the mean of the two middle values
         # for an even count), without the numpy.ma import np.median costs.

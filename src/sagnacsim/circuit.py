@@ -50,6 +50,10 @@ __all__ = [
 # Samples per block when walking a waveform: 256 KB of float64.
 _BLOCK = 1 << 15
 
+# Largest transient grid: 10**8 samples (800 MB of float64), five times a
+# 20-pulse, 200 us train at 10 ps.
+_MAX_SAMPLES = 10**8
+
 
 @dataclass(frozen=True)
 class DriveCircuit:
@@ -224,7 +228,8 @@ def simulate(
 ) -> Waveform:
     """Voltage across the modulator on a uniform grid from 0 to ``t_end``.
 
-    ``dt`` must resolve the fast discharge edge: dt < R_on * C / 10. The
+    ``dt`` must resolve the fast discharge edge: dt < R_on * C / 10. A grid
+    of more than 10**8 samples is refused before anything is allocated. The
     initial voltage defaults to a fully discharged crystal.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
@@ -239,6 +244,11 @@ def simulate(
         raise ValueError("hold_duration must exceed the gate rise time")
     if not (-0.01 * circuit.supply_voltage <= v_start <= 1.01 * circuit.supply_voltage):
         raise ValueError("v_start outside the physical voltage range")
+
+    if t_end / dt >= _MAX_SAMPLES:
+        raise ValueError(
+            f"t_end / dt = {t_end / dt:.3g} exceeds {_MAX_SAMPLES:g} samples; refusing to allocate the grid"
+        )
 
     # Segments (start, evaluator): off, then ramp / on / off per gate pulse.
     segments = [(0.0, _off_segment)]

@@ -3,8 +3,9 @@
     sagnacsim <command> --config FILE --out FILE [--sweep-max V] [--dt S] [--t-end S]
 
 Commands: device-matrix, independence-scan, table1, transient, recovery,
-loss. Each writes a CSV report and prints a one-line summary. Exit codes:
-0 ok, 1 usage, 2 configuration error, 3 runtime/domain error. Output is
+loss. Each computes a table, then writes it as a CSV report and prints a
+one-line summary; a command that fails writes no CSV. Exit codes: 0 ok,
+1 usage, 2 configuration error, 3 runtime/domain error. Output is
 byte-identical across runs for identical inputs (fixed 12-significant-digit
 float formatting, '\\n' line endings).
 """
@@ -25,20 +26,6 @@ from .config import ConfigError, SceneConfig, parse_config
 from .elements import half_wave_voltage
 from .loop import device_matrix_batch, independence_scan
 from .polarization import linear_state
-
-_COMMANDS = ("device-matrix", "independence-scan", "table1", "transient", "recovery", "loss")
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise _UsageError(message)
-
 
 def _finite_float(text: str) -> float:
     try:
@@ -80,26 +67,29 @@ def _scan_voltages(cfg: SceneConfig) -> np.ndarray:
     return np.linspace(0.0, v_max, cfg.scan.samples)
 
 
-def _run_device_matrix(cfg: SceneConfig, out: str) -> str:
+# What a runner returns: the CSV header, its rows and the summary line.
+_Report = tuple[Sequence[str], Sequence[Sequence[float]], str]
+
+
+def _run_device_matrix(cfg: SceneConfig) -> _Report:
     layout = cfg.loop_layout()
     voltages = _scan_voltages(cfg)
     matrices = device_matrix_batch(layout, voltages)
     rows = np.column_stack([voltages, matrices.reshape(-1, 4).view(float)])
     header = ["voltage_V", "m00_re", "m00_im", "m01_re", "m01_im",
               "m10_re", "m10_im", "m11_re", "m11_im"]
-    _write_csv(out, header, rows)
     v_half = half_wave_voltage(layout.crystal)
-    return f"device-matrix: {len(voltages)} voltages, v_half={_fmt(v_half)} V"
+    return header, rows, f"device-matrix: {len(voltages)} voltages, v_half={_fmt(v_half)} V"
 
 
-def _run_independence_scan(cfg: SceneConfig, out: str) -> str:
+def _run_independence_scan(cfg: SceneConfig) -> _Report:
     points = independence_scan(cfg.loop_layout(), _scan_voltages(cfg))
-    _write_csv(out, ["voltage_V", "phase_rad_unwrapped", "infidelity", "portA_power"], points)
     worst = max(p.infidelity for p in points)
-    return f"independence-scan: {len(points)} voltages, max_infidelity={worst:.3e}"
+    header = ["voltage_V", "phase_rad_unwrapped", "infidelity", "portA_power"]
+    return header, points, f"independence-scan: {len(points)} voltages, max_infidelity={worst:.3e}"
 
 
-def _run_table1(cfg: SceneConfig, out: str) -> str:
+def _run_table1(cfg: SceneConfig) -> _Report:
     angles_deg = (0.0, 45.0, 90.0)
     sweep = cfg.sweep
     records = table1_report(
@@ -109,14 +99,14 @@ def _run_table1(cfg: SceneConfig, out: str) -> str:
         [deg, r.v_half_fit, r.visibility, r.contrast_ratio, r.contrast_db]
         for deg, r in zip(angles_deg, records)
     ]
-    _write_csv(out, ["pol_deg", "v_half_V", "visibility", "contrast_ratio", "contrast_db"], rows)
     summary = " ".join(
         f"{deg:g}deg={r.visibility:.4f}" for deg, r in zip(angles_deg, records)
     )
-    return f"table1: visibility {summary}"
+    header = ["pol_deg", "v_half_V", "visibility", "contrast_ratio", "contrast_db"]
+    return header, rows, f"table1: visibility {summary}"
 
 
-def _run_transient(cfg: SceneConfig, out: str) -> str:
+def _run_transient(cfg: SceneConfig) -> _Report:
     setup = cfg.mz_setup()
     circuit = cfg.drive_circuit()
     trace = cfg.trace
@@ -125,21 +115,19 @@ def _run_transient(cfg: SceneConfig, out: str) -> str:
     result = switching_trace(setup, state, circuit, gates, trace.t_end, trace.dt)
     times = result.voltage.times
     rows = np.column_stack([times, result.voltage.samples, result.intensity.samples])
-    _write_csv(out, ["t_s", "v_V", "intensity"], rows)
-    return f"transient: optical_10_90={_fmt(result.optical_10_90)} s"
+    return ["t_s", "v_V", "intensity"], rows, f"transient: optical_10_90={_fmt(result.optical_10_90)} s"
 
 
-def _run_recovery(cfg: SceneConfig, out: str) -> str:
+def _run_recovery(cfg: SceneConfig) -> _Report:
     circuit = cfg.drive_circuit()
     rec = cfg.recovery
     rates = np.geomspace(10e3, 1e6, 61)
     rows = [[rate, recovery_fraction(circuit, rate, rec.hold)] for rate in rates]
-    _write_csv(out, ["repetition_rate_hz", "recovery_fraction"], rows)
     fraction = recovery_fraction(circuit, rec.repetition_rate, rec.hold)
-    return f"recovery_fraction={fraction:.5f}"
+    return ["repetition_rate_hz", "recovery_fraction"], rows, f"recovery_fraction={fraction:.5f}"
 
 
-def _run_loss(cfg: SceneConfig, out: str) -> str:
+def _run_loss(cfg: SceneConfig) -> _Report:
     if cfg.loss is None:
         raise ConfigError("missing required section [loss]")
     transmissions = cfg.loss.transmissions
@@ -147,8 +135,7 @@ def _run_loss(cfg: SceneConfig, out: str) -> str:
         [float(i), t, insertion_loss(transmissions[: i + 1])]
         for i, t in enumerate(transmissions)
     ]
-    _write_csv(out, ["index", "transmission", "cumulative_db"], rows)
-    return f"insertion_loss_db={_fmt(rows[-1][2])}"
+    return ["index", "transmission", "cumulative_db"], rows, f"insertion_loss_db={_fmt(rows[-1][2])}"
 
 
 _RUNNERS = {
@@ -159,10 +146,11 @@ _RUNNERS = {
     "recovery": _run_recovery,
     "loss": _run_loss,
 }
+_COMMANDS = tuple(_RUNNERS)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _Parser(prog="sagnacsim", description="Sagnac-loop phase shifter simulator")
+    parser = argparse.ArgumentParser(prog="sagnacsim", description="Sagnac-loop phase shifter simulator")
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="scene configuration file")
     parser.add_argument("--out", required=True, help="output CSV path")
@@ -171,8 +159,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--t-end", type=_finite_float, default=None, help="transient duration in seconds")
     try:
         args = parser.parse_args(argv)
-    except _UsageError:
-        return 1
+    except SystemExit as exc:  # 2 after a usage error, 0 after --help
+        return 1 if exc.code else 0
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -183,14 +171,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         cfg = parse_config(text)
-        summary = _RUNNERS[args.command](_resolve(cfg, args), args.out)
+        header, rows, summary = _RUNNERS[args.command](_resolve(cfg, args))
+        _write_csv(args.out, header, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(summary)

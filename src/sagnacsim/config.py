@@ -28,7 +28,9 @@ __all__ = [
     "render_config",
 ]
 
-_SI_SUFFIXES = {"p": 1e-12, "n": 1e-9, "u": 1e-6, "m": 1e-3, "k": 1e3, "M": 1e6}
+# Each SI suffix as a power of ten. The mantissa is scaled by the exact 10**k
+# (divided by it for the negative ones), so '30n' parses to 30e-9 exactly.
+_SI_EXPONENTS = {"p": -12, "n": -9, "u": -6, "m": -3, "k": 3, "M": 6}
 
 # Largest [scan]/[sweep] sample count: 500 times the largest shipped value,
 # and far below a request that would exhaust memory (1e10 samples is 80 GB).
@@ -43,7 +45,8 @@ def parse_number(text: str) -> float:
     """Float with an optional SI suffix: '50p' -> 5e-11, '20k' -> 2e4."""
     text = text.strip()
     try:
-        value = float(text[:-1]) * _SI_SUFFIXES[text[-1:]]
+        mantissa, exponent = float(text[:-1]), _SI_EXPONENTS[text[-1:]]
+        value = mantissa * 10.0**exponent if exponent > 0 else mantissa / 10.0**-exponent
     except (ValueError, KeyError):
         try:
             value = float(text)

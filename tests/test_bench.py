@@ -173,6 +173,35 @@ class TestSawtoothSweep:
             sawtooth_sweep(ideal_setup, linear_state(0.0), 2 * v_half, 32)
 
 
+def loop_extrema_spacing(voltages, values):
+    """The extrema spacing with each flat spot's sign carried by a loop."""
+    signs = np.sign(np.diff(values))
+    for i in range(1, len(signs)):
+        if signs[i] == 0:
+            signs[i] = signs[i - 1]
+    flips = np.nonzero(signs[1:] * signs[:-1] < 0)[0] + 1
+    if len(flips) >= 2:
+        return float(np.median(np.diff(voltages[flips])))
+    return float(abs(voltages[int(np.argmax(values))] - voltages[int(np.argmin(values))]))
+
+
+class TestExtremaSpacing:
+    @pytest.mark.parametrize("kind", ["ties", "plateaus", "leading_flat"])
+    def test_matches_sign_carrying_loop(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            n = int(rng.integers(2, 61))
+            if kind == "ties":
+                values = rng.integers(0, 4, n).astype(float)
+            else:
+                levels = rng.normal(size=n)
+                values = np.repeat(levels, rng.integers(1, 6, n))[:n]
+            if kind == "leading_flat":
+                values[: rng.integers(1, n + 1)] = values[0]
+            voltages = np.cumsum(rng.uniform(0.1, 1.0, n))
+            assert bench._extrema_spacing(voltages, values) == loop_extrema_spacing(voltages, values)
+
+
 class TestContrast:
     def test_paper_rows(self):
         ratio, db = contrast_from_visibility(0.961)

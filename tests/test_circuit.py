@@ -84,6 +84,20 @@ class TestSimulate:
         with pytest.raises(ValueError, match="too coarse"):
             simulate(c, GateSchedule((1e-6,), 1e-7), 2e-6, 1e-9)
 
+    def test_grid_too_large_to_allocate(self):
+        # 1e10 samples (80 GB) are refused before numpy is asked for them.
+        with mock.patch.object(np, "empty", side_effect=AssertionError("grid allocated")):
+            with pytest.raises(ValueError, match="allocate"):
+                simulate(reference_circuit(), GateSchedule((1e-9,), 1e-8), 0.1, 1e-11)
+
+    def test_grid_cap_boundary(self):
+        dt = 2.0**-37  # t_end / dt below is exact
+        gates = GateSchedule((1e-9,), 1e-8)
+        with mock.patch.object(circuit_module, "_MAX_SAMPLES", 11):
+            assert len(simulate(reference_circuit(), gates, 10 * dt, dt).samples) == 11
+            with pytest.raises(ValueError, match="allocate"):
+                simulate(reference_circuit(), gates, 11 * dt, dt)
+
     def test_recharge_matches_closed_form(self):
         c = reference_circuit()
         gates = GateSchedule((1.0,), 1e-6)  # gate far beyond the window

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ class TestParseNumber:
         for text in ("infk", "nanM", "1e308k"):
             with pytest.raises(ValueError, match="finite"):
                 parse_number(text)
+
+    @pytest.mark.parametrize(
+        "suffix, exponent", [("p", -12), ("n", -9), ("u", -6), ("m", -3), ("k", 3), ("M", 6)]
+    )
+    @pytest.mark.parametrize("mantissa", [1, 3, 7, 30, 250, 999])
+    def test_suffix_scales_exactly(self, mantissa, suffix, exponent):
+        assert parse_number(f"{mantissa}{suffix}") == float(f"{mantissa}e{exponent}")
+
+    def test_shipped_suffixed_values_are_exact(self):
+        assert parse_number("30n") == 30e-9
+        assert parse_number("632.8n") == 632.8e-9
+        assert parse_number("30.8p") == 30.8e-12
+        assert parse_number("1e3k") == 1e6
 
 
 class TestParseConfig:
@@ -238,6 +252,10 @@ class TestCli:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage" in capsys.readouterr().out
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["table1", "--config", str(tmp_path / "nope.ini"), "--out", "x.csv"])
         assert code == 2
@@ -280,6 +298,24 @@ class TestCli:
         code, _ = self.run(command, config_path, tmp_path, *extra)
         assert code == 3
         assert message in capsys.readouterr().err
+
+    def test_transient_grid_cap_exit_3(self, config_path, tmp_path, capsys):
+        # 1e11 samples (800 GB) are refused before numpy is asked for them.
+        with mock.patch.object(np, "empty", side_effect=AssertionError("grid allocated")):
+            code, out = self.run("transient", config_path, tmp_path, "--t-end", "1", "--dt", "1e-11")
+        assert code == 3
+        assert "allocate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_summary_writes_no_csv(self, tmp_path, capsys):
+        # Every rate of the sweep has a period above the 500 ns hold; only the
+        # summary's 3 MHz does not, so the command fails after its table.
+        bad = tmp_path / "bad.ini"
+        bad.write_text(IDEAL_TEXT + "\n[recovery]\nrepetition_rate = 3M\nhold = 500n\n")
+        out = tmp_path / "o.csv"
+        assert main(["recovery", "--config", str(bad), "--out", str(out)]) == 3
+        assert "must exceed the hold duration" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "line, key", [("output_port = C", "output_port"), ("eom_axis = X", "axis")]
