@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import circuit as _circuit
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
 from .elements import half_wave_voltage
 from .loop import LoopLayout, device_matrix_batch
@@ -110,11 +111,10 @@ class MeasurementRecord:
             raise ValueError(f"visibility out of range: {self.visibility}")
 
 
-def _intensities(setup: MzSetup, state, voltages) -> np.ndarray:
-    """Detected power for each voltage; vectorized over the sweep."""
+def _intensities(setup: MzSetup, state, matrices: np.ndarray) -> np.ndarray:
+    """Detected power for each device matrix of a batch, shape (n, 2, 2)."""
     s = np.asarray(state, dtype=complex)
-    voltages = np.atleast_1d(np.asarray(voltages, dtype=float))
-    dev = np.einsum("vij,j->vi", device_matrix_batch(setup.loop, voltages), s)
+    dev = np.einsum("vij,j->vi", matrices, s)
     ref = setup.ref_arm @ s
     gamma = setup.mode_overlap
     scaled_ref = math.sqrt(setup.arm_imbalance) * ref
@@ -130,13 +130,13 @@ def mz_intensity(setup: MzSetup, state, drive_voltage: float) -> float:
     norm2 = float(np.sum(np.abs(np.asarray(state, dtype=complex)) ** 2))
     if abs(norm2 - 1.0) > 1e-6:
         raise ValueError(f"mz_intensity expects a normalized input, got norm^2 = {norm2}")
-    return float(_intensities(setup, state, [drive_voltage])[0])
+    return float(_intensities(setup, state, device_matrix_batch(setup.loop, [drive_voltage]))[0])
 
 
 def sweep_curve(setup: MzSetup, state, v_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw fringe curve of a linear 0..v_max sweep: (voltages, intensities)."""
     voltages = np.linspace(0.0, v_max, n)
-    return voltages, _intensities(setup, state, voltages)
+    return voltages, _intensities(setup, state, device_matrix_batch(setup.loop, voltages))
 
 
 def _extrema_spacing(voltages: np.ndarray, values: np.ndarray) -> float:
@@ -159,23 +159,8 @@ def _extrema_spacing(voltages: np.ndarray, values: np.ndarray) -> float:
     return float(abs(voltages[int(np.argmax(values))] - voltages[int(np.argmin(values))]))
 
 
-def sawtooth_sweep(setup: MzSetup, state, v_max: float, n: int) -> MeasurementRecord:
-    """Fringe measurement from a linear 0..v_max voltage sweep.
-
-    Requires v_max >= 1.5x the crystal's nominal half-wave voltage and
-    n >= 64 samples so both fringe extrema are contained. The background is
-    subtracted before computing visibility; v_half_fit is the voltage
-    spacing between adjacent extrema.
-    """
-    nominal = half_wave_voltage(setup.loop.crystal)
-    if v_max < 1.5 * nominal:
-        raise ValueError(
-            f"sweep range {v_max:g} V too short; need at least 1.5 * V_half = {1.5 * nominal:g} V"
-        )
-    if n < 64:
-        raise ValueError(f"need at least 64 sweep samples, got {n}")
-    voltages = np.linspace(0.0, v_max, n)
-    corrected = _intensities(setup, state, voltages) - setup.background
+def _record(voltages: np.ndarray, corrected: np.ndarray) -> MeasurementRecord:
+    """Measurement record of a background-corrected fringe curve."""
     i_on = float(np.max(corrected))
     i_off = float(np.min(corrected))
     if i_on - i_off <= 1e-15 * max(i_on, 1.0):
@@ -195,6 +180,32 @@ def sawtooth_sweep(setup: MzSetup, state, v_max: float, n: int) -> MeasurementRe
         contrast_db=db,
         v_half_fit=_extrema_spacing(voltages, corrected),
     )
+
+
+def _sweep_records(setup: MzSetup, states, v_max: float, n: int) -> list[MeasurementRecord]:
+    """One record per input state, all read from one 0..v_max sweep grid and
+    its one batch of device matrices."""
+    nominal = half_wave_voltage(setup.loop.crystal)
+    if v_max < 1.5 * nominal:
+        raise ValueError(
+            f"sweep range {v_max:g} V too short; need at least 1.5 * V_half = {1.5 * nominal:g} V"
+        )
+    if n < 64:
+        raise ValueError(f"need at least 64 sweep samples, got {n}")
+    voltages = np.linspace(0.0, v_max, n)
+    matrices = device_matrix_batch(setup.loop, voltages)
+    return [_record(voltages, _intensities(setup, s, matrices) - setup.background) for s in states]
+
+
+def sawtooth_sweep(setup: MzSetup, state, v_max: float, n: int) -> MeasurementRecord:
+    """Fringe measurement from a linear 0..v_max voltage sweep.
+
+    Requires v_max >= 1.5x the crystal's nominal half-wave voltage and
+    n >= 64 samples so both fringe extrema are contained. The background is
+    subtracted before computing visibility; v_half_fit is the voltage
+    spacing between adjacent extrema.
+    """
+    return _sweep_records(setup, [state], v_max, n)[0]
 
 
 def contrast_from_visibility(visibility: float) -> tuple[float, float]:
@@ -249,12 +260,19 @@ def switching_trace(
     """Drive the modulator and record the interferometer output over time.
 
     The voltage waveform from the circuit simulation is mapped pointwise
-    through the interferometer response; the optical switching time is the
-    first 10-90 transition of the intensity (a rising edge when the crystal
-    discharges from the half-wave voltage toward the bright fringe).
+    through the interferometer response, block by block as ``simulate``
+    walks it, so the temporaries stay the size of one block; the optical
+    switching time is the first 10-90 transition of the intensity (a rising
+    edge when the crystal discharges from the half-wave voltage toward the
+    bright fringe).
     """
     voltage = simulate(circuit, gates, t_end, dt, v_start=circuit.supply_voltage)
-    intensity = Waveform(voltage.t0, voltage.dt, _intensities(setup, state, voltage.samples))
+    samples = np.empty(len(voltage.samples))
+    block = _circuit._BLOCK
+    for a in range(0, len(samples), block):
+        matrices = device_matrix_batch(setup.loop, voltage.samples[a : a + block])
+        samples[a : a + block] = _intensities(setup, state, matrices)
+    intensity = Waveform(voltage.t0, voltage.dt, samples)
     # Direction of the first switching edge, judged over the first conduction
     # window (the later recharge swings the trace back the other way).
     window_end = gates.on_times[0] + circuit.gate_delay + gates.hold_duration
@@ -364,8 +382,10 @@ def table1_report(
     """Fringe sweep per linear input polarization angle.
 
     The headline device characterization: one record per input angle with
-    fitted half-wave voltage, visibility, and contrast.
+    fitted half-wave voltage, visibility, and contrast. Each record equals
+    ``sawtooth_sweep`` at that angle; the angles share one sweep grid and its
+    one batch of device matrices.
     """
     if v_max is None:
         v_max = 2.0 * half_wave_voltage(setup.loop.crystal)
-    return [sawtooth_sweep(setup, linear_state(a), v_max, n) for a in input_angles]
+    return _sweep_records(setup, [linear_state(a) for a in input_angles], v_max, n)

@@ -15,9 +15,13 @@ global phase.
 
 Each beam crosses the modulator once, so each output port is linear in the
 modulator's two axis phase factors: M_port(V) = f_H(V) P_port,H + f_V(V) P_port,V.
-``_compile`` finds the four fixed 2x2 parts (ports B and A, modulator axes H
-and V) by tracing the loop with the modulator replaced by each axis
-projector, and every public entry point evaluates that one compiled form.
+``_compile`` finds the four fixed 2x2 parts (modulator axes H and V, ports B
+and A) by tracing the loop with the modulator replaced by each axis
+projector. A layout compiles once, when it is constructed, and holds the
+parts read-only; so an element without a transfer matrix fails there, and
+evaluating a layout builds no element matrix. Every public entry point maps
+its voltages through ``_evaluate``: ``device_matrix_batch`` for the layout's
+output port only, ``trace_ports`` and ``independence_scan`` for both ports.
 
 The modulator sits at the midpoint index of the path; that placement matters
 for the timing symmetry of the two beams in the physical device, not for the
@@ -27,7 +31,7 @@ static matrices computed here, and is therefore recommended but not enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -68,13 +72,16 @@ class LoopLayout:
     ``cw_path`` as seen by the clockwise beam; the counter-clockwise beam
     reads it in reverse with backward matrices. ``output_port`` selects which
     recombined output ``trace`` returns: "B", the exit port distinct from the
-    input (the default), or "A", the input-side return port.
+    input (the default), or "A", the input-side return port. The compiled
+    parts are not a field of equality, hashing or ``dataclasses.replace``: a
+    replaced layout compiles anew.
     """
 
     pbs: Pbs
     cw_path: tuple
     crystal: CrystalSpec
     output_port: str = "B"
+    _parts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "cw_path", tuple(self.cw_path))
@@ -85,6 +92,9 @@ class LoopLayout:
             raise ValueError("the Eom in cw_path must use the layout's crystal")
         if self.output_port not in _PORTS:
             raise ValueError(f"output_port must be 'A' or 'B', got {self.output_port!r}")
+        parts = _compile(self)
+        parts.setflags(write=False)
+        object.__setattr__(self, "_parts", parts)
 
     @property
     def eom(self) -> Eom:
@@ -133,33 +143,33 @@ def build_default_loop(
 
 
 def _compile(layout: LoopLayout) -> np.ndarray:
-    """The loop's fixed parts, shape (port B/A, Eom axis H/V, 2, 2): column j of
-    part [p, a] is port p's output for basis input j with the Eom replaced by
-    the projector onto axis a."""
+    """The loop's fixed parts, shape (Eom axis H/V, port B/A, 2, 2): column j
+    of part [a, p] is port p's output for basis input j with the Eom replaced
+    by the projector onto axis a."""
     chains = [
         [None if isinstance(el, Eom) else element_matrix(el, direction) for el in elements]
         for direction, elements in (("forward", layout.cw_path), ("backward", layout.cw_path[::-1]))
     ]
     splits = [pbs_split(layout.pbs, basis) for basis in (H, V)]
-    parts = np.empty((2, 2, 2, 2), dtype=complex)
-    for axis, projector in enumerate(_AXIS_PROJECTORS):
+    parts = []
+    for projector in _AXIS_PROJECTORS:
         cw, ccw = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
         for m in chains[0]:
             cw = (projector if m is None else m) @ cw
         for m in chains[1]:
             ccw = (projector if m is None else m) @ ccw
-        for col, (transmit, reflect) in enumerate(splits):
-            parts[:, axis, :, col] = pbs_combine_ports(layout.pbs, cw @ transmit, ccw @ reflect)
-    return parts
+        # Indexed (input column, port, row), turned to (port, row, column).
+        columns = [pbs_combine_ports(layout.pbs, cw @ t, ccw @ r) for t, r in splits]
+        parts.append(np.transpose(columns, (1, 2, 0)))
+    return np.array(parts)
 
 
-def _port_matrices(layout: LoopLayout, voltages) -> np.ndarray:
-    """Transfer matrices of both ports, shape voltages.shape + (2, 2, 2)."""
-    voltages = np.asarray(voltages, dtype=float)
-    parts = _compile(layout)
-    factor_h, factor_v = layout.eom.phase_factors(voltages)
-    return (factor_h[..., None, None, None] * parts[:, 0]
-            + factor_v[..., None, None, None] * parts[:, 1])
+def _evaluate(layout: LoopLayout, voltages, port=slice(None)) -> np.ndarray:
+    """Transfer matrices at ``voltages`` of one port (an index into (B, A)),
+    shape voltages.shape + (2, 2), or of both, shape voltages.shape + (2, 2, 2)."""
+    factor_h, factor_v = layout.eom.phase_factors(np.asarray(voltages, dtype=float))
+    part_h, part_v = layout._parts[:, port]
+    return np.multiply.outer(factor_h, part_h) + np.multiply.outer(factor_v, part_v)
 
 
 def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +178,7 @@ def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.nda
     Port B is the exit port distinct from the input; for an ideal layout all
     light leaves there and the port A amplitude vanishes.
     """
-    return tuple(_port_matrices(layout, drive_voltage) @ np.asarray(state, dtype=complex))
+    return tuple(_evaluate(layout, drive_voltage) @ np.asarray(state, dtype=complex))
 
 
 def trace(layout: LoopLayout, state, drive_voltage: float) -> np.ndarray:
@@ -191,7 +201,7 @@ def device_matrix(layout: LoopLayout, drive_voltage: float) -> np.ndarray:
 def device_matrix_batch(layout: LoopLayout, voltages) -> np.ndarray:
     """Device matrices at the layout's output port for an array of voltages,
     shape voltages.shape + (2, 2)."""
-    return _port_matrices(layout, voltages)[..., _PORTS.index(layout.output_port), :, :]
+    return _evaluate(layout, voltages, _PORTS.index(layout.output_port))
 
 
 class ScanPoint(NamedTuple):
@@ -215,7 +225,7 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> list[Sca
     voltages = np.asarray(voltages, dtype=float)
     if voltages.size == 0:
         raise ValueError("independence_scan needs a non-empty voltage list")
-    ports = _port_matrices(layout, voltages)
+    ports = _evaluate(layout, voltages)
     v_half = half_wave_voltage(layout.crystal)
     if np.any(np.abs(np.diff(voltages)) >= v_half):
         raise ValueError(f"voltage step reaches the half-wave voltage {v_half:g} V: phase aliases")
@@ -223,5 +233,8 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> list[Sca
     phases = np.unwrap(_canonical_phases(matrices)[0])
     infidelities = _scaled_identity_infidelities(matrices)
     leaks = 0.5 * np.sum(np.abs(ports[:, 1]) ** 2, axis=(1, 2))
-    rows = np.column_stack([voltages, phases, infidelities, leaks]).tolist()
-    return [ScanPoint(*row) for row in rows]
+    # Four column lists and no list per row: each point allocates one object
+    # the garbage collector tracks (its ScanPoint), not two, so long scans
+    # start fewer collections.
+    columns = (voltages.tolist(), phases.tolist(), infidelities.tolist(), leaks.tolist())
+    return list(map(ScanPoint._make, zip(*columns)))

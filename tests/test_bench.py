@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from sagnacsim import (
     visibility_from_contrast,
 )
 from sagnacsim import bench
+from sagnacsim import circuit as circuit_module
 from sagnacsim.bench import _brent
 
 from conftest import reference_crystal
@@ -294,6 +297,33 @@ class TestSwitchingTrace:
         assert partial.optical_10_90 == pytest.approx(full.optical_10_90, rel=1e-9)
         assert max(partial.intensity.samples) < max(full.intensity.samples)
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_small_blocks_give_the_same_trace(self, crystal, v_half, block):
+        setup = diag_ref_setup(crystal, 0.9, 0.4, background=0.01)
+        circuit, gates = switch_parts(v_half)
+        args = (setup, linear_state(0.6), circuit, gates, 12e-9, 10e-12)
+        want = switching_trace(*args)
+        with mock.patch.object(circuit_module, "_BLOCK", block):
+            got = switching_trace(*args)
+        assert np.array_equal(got.intensity.samples, want.intensity.samples)
+        assert got.optical_10_90 == want.optical_10_90
+
+    def test_memory_bounded_per_sample(self, ideal_setup, v_half):
+        # The returned voltage and intensity take 16 B per sample; mapping the
+        # voltage block by block keeps the rest to one block's temporaries.
+        circuit, gates = switch_parts(v_half)
+        args = (ideal_setup, linear_state(0.0), circuit, gates, 1e-5, 10e-12)
+        switching_trace(*args)
+        tracemalloc.start()
+        try:
+            result = switching_trace(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(result.intensity.samples)
+        assert n >= 10**6
+        assert peak / n <= 32
+
     def test_fit_mosfet_on_r(self, ideal_setup, v_half):
         circuit, gates = switch_parts(v_half)
         fitted = fit_mosfet_on_r(
@@ -356,6 +386,25 @@ class TestTable1Report:
         for rec in records:
             assert rec.visibility == pytest.approx(1.0, abs=1e-9)
             assert rec.v_half_fit == pytest.approx(records[0].v_half_fit, abs=1e-9)
+
+    @pytest.mark.parametrize("v_max_halves, n", [(None, 2001), (1.5, 64), (3.7, 777)])
+    def test_equals_sawtooth_sweep_per_angle(self, crystal, v_half, v_max_halves, n):
+        v_max = None if v_max_halves is None else v_max_halves * v_half
+        angles = (0.0, 0.3, math.pi / 4, math.pi / 2, 2.5)
+        for setup in (
+            MzSetup(loop=build_default_loop(crystal)),
+            diag_ref_setup(crystal, 0.93, math.radians(24.0), background=0.02),
+            MzSetup(build_default_loop(crystal, fr_angle=math.radians(41.0)), arm_imbalance=0.7),
+        ):
+            sweep_max = 2.0 * v_half if v_max is None else v_max
+            want = [sawtooth_sweep(setup, linear_state(a), sweep_max, n) for a in angles]
+            assert table1_report(setup, angles, v_max, n) == want
+
+    def test_range_preconditions(self, ideal_setup, v_half):
+        with pytest.raises(ValueError, match="sweep range"):
+            table1_report(ideal_setup, v_max=1.2 * v_half)
+        with pytest.raises(ValueError, match="64"):
+            table1_report(ideal_setup, n=32)
 
     def test_imperfect_pattern(self, crystal):
         setup = diag_ref_setup(crystal, 0.956, math.radians(24.0))

@@ -288,8 +288,8 @@ class TestCli:
         [
             ("transient", ["--t-end", "-1"], "t_end must be finite and positive"),
             ("transient", ["--t-end", "1e-12"], "no edge found"),  # a single sample
-            # 1e17 samples exceed any x86-64 user address space, so numpy
-            # refuses the request at once and nothing is allocated.
+            # 1e17 samples exceed the 10**8-sample cap in simulate, which
+            # refuses the grid before anything is allocated.
             ("transient", ["--t-end", "1000", "--dt", "1e-14"], "allocate"),
             ("independence-scan", ["--sweep-max", "1e4"], "half-wave voltage"),
         ],

@@ -2,12 +2,15 @@ import dataclasses
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sagnacsim import (
+    H,
+    V,
     CrystalSpec,
     Eom,
     FaradayRotator,
@@ -25,6 +28,7 @@ from sagnacsim import (
     trace,
     trace_ports,
 )
+from sagnacsim import loop as loop_module
 from sagnacsim.config import parse_config
 from sagnacsim.loop import LoopLayout
 
@@ -75,6 +79,60 @@ class TestBuildDefaultLoop:
         other = CrystalSpec(10e-3, 1e-3, 633e-9, 2.2, 30e-12)
         with pytest.raises(ValueError, match="crystal"):
             LoopLayout(pbs=Pbs(), cw_path=(Eom(other),), crystal=crystal)
+
+
+class TestCompiledLayout:
+    """A layout compiles once, at construction, into read-only parts."""
+
+    @pytest.mark.parametrize(
+        "element, error, message",
+        [(Pbs(), ValueError, "no single transfer matrix"), (object(), TypeError, "unknown optical element")],
+    )
+    def test_element_without_matrix_fails_at_construction(self, crystal, element, error, message):
+        with pytest.raises(error, match=message):
+            LoopLayout(Pbs(), (HalfWavePlate(0.1), element, Eom(crystal)), crystal)
+
+    def test_compiled_parts_are_read_only(self, ideal):
+        assert not ideal._parts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ideal._parts[0, 0, 0, 0] = 0.0
+
+    def test_repeated_evaluations_make_no_element_matrix_call(self, crystal, v_half):
+        counted = mock.Mock(wraps=loop_module.element_matrix)
+        with mock.patch.object(loop_module, "element_matrix", counted):
+            layout = build_default_loop(crystal, fr_angle=math.radians(40.0))
+            assert counted.call_count == 8  # four elements, both directions
+            counted.reset_mock()
+            voltages = np.linspace(0.0, 2 * v_half, 11)
+            for _ in range(3):
+                device_matrix_batch(layout, voltages)
+                device_matrix(layout, v_half)
+                trace(layout, linear_state(0.3), v_half)
+                trace_ports(layout, H, v_half)
+                independence_scan(layout, voltages)
+        assert counted.call_count == 0
+
+    def test_equality_hash_and_replace_ignore_the_parts(self, crystal, ideal):
+        twin = build_default_loop(crystal)
+        assert twin == ideal and hash(twin) == hash(ideal)
+        assert "_parts" not in repr(ideal)
+        port_a = dataclasses.replace(ideal, output_port="A")
+        assert port_a != ideal
+        assert np.array_equal(port_a._parts, ideal._parts)
+        degraded = dataclasses.replace(ideal, pbs=Pbs(extinction_t=0.2))
+        assert not np.array_equal(degraded._parts, ideal._parts)
+
+    @pytest.mark.parametrize("port", ["B", "A"])
+    def test_batch_equals_port_slice_of_trace_ports(self, v_half, port):
+        rng = np.random.default_rng(107)
+        index = "BA".index(port)
+        for _ in range(10):
+            layout = dataclasses.replace(random_imperfect_layout(rng), output_port=port)
+            voltages = rng.uniform(-2 * v_half, 2 * v_half, size=9)
+            batch = device_matrix_batch(layout, voltages)
+            for v, m in zip(voltages, batch):
+                columns = [trace_ports(layout, basis, v)[index] for basis in (H, V)]
+                assert np.array_equal(m, np.column_stack(columns))
 
 
 class TestTrace:
