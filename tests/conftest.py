@@ -1,5 +1,6 @@
-"""Shared helpers: reference hardware values, random generators, and an
-independently coded brute-force oracle for the loop transfer matrix."""
+"""Shared helpers: reference hardware values, random generators, an
+independently coded brute-force oracle for the loop transfer matrix, and an
+ODE oracle for the driver transient."""
 
 from __future__ import annotations
 
@@ -103,3 +104,55 @@ def oracle_device_matrix(layout: LoopLayout, voltage: float) -> np.ndarray:
         port_a = np.array([sr * x[0] + cr * y[0], st * y[1] + ct * x[1]])
         columns.append(port_b if layout.output_port == "B" else port_a)
     return np.column_stack(columns)
+
+
+def ode_oracle(circuit, gates, t_end: float, dt: float, v_start: float) -> np.ndarray:
+    """Driver voltage at t = k * dt, k = 0 .. floor(t_end / dt), by numerical
+    integration of C dV/dt = (supply - V) / R - V G(t), written independently
+    of the package's closed-form segments.
+
+    G is 0 with the gate off, ramps linearly to 1 / R_on over the rise time
+    from each on time plus the gate delay, and holds until the hold ends.
+    Each piece between two switching instants is integrated on its own with
+    DOP853 (rtol = atol = 1e-12), so no step straddles a kink of G.
+    """
+    from scipy.integrate import solve_ivp
+
+    sup, r, c = circuit.supply_voltage, circuit.recharge_r, circuit.total_c
+    r_on, rise = circuit.mosfet_on_r, circuit.gate_rise_time
+    pulses = [(t + circuit.gate_delay, gates.hold_duration) for t in gates.on_times]
+    times = np.arange(math.floor(t_end / dt) + 1) * dt
+    last = max(t_end, times[-1])
+    instants = {0.0, last}
+    for start, hold in pulses:
+        instants.update(t for t in (start, start + rise, start + hold) if 0.0 < t < last)
+    breaks = sorted(instants)
+
+    def conductance_on(a: float, b: float):
+        mid = 0.5 * (a + b)
+        for start, hold in pulses:
+            if start <= mid < start + hold:
+                if mid < start + rise:
+                    return lambda t: (t - start) / (rise * r_on)
+                return lambda t: 1.0 / r_on
+        return lambda t: 0.0
+
+    out = np.empty(len(times))
+    v = float(v_start)
+    for a, b in zip(breaks, breaks[1:]):
+        g = conductance_on(a, b)
+        inside = (times >= a) & (times < b)
+        t_eval = np.append(times[inside], b)
+        sol = solve_ivp(
+            lambda t, y: ((sup - y) / r - y * g(t)) / c,
+            (a, b),
+            [v],
+            method="DOP853",
+            t_eval=t_eval,
+            rtol=1e-12,
+            atol=1e-12,
+        )
+        out[inside] = sol.y[0, :-1]
+        v = float(sol.y[0, -1])
+    out[times == last] = v
+    return out

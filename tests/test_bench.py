@@ -11,6 +11,8 @@ from scipy.optimize import brentq
 from sagnacsim import (
     DriveCircuit,
     GateSchedule,
+    Waveform,
+    edge_time_10_90,
     InfiniteContrastError,
     MzSetup,
     build_default_loop,
@@ -32,7 +34,7 @@ from sagnacsim import bench
 from sagnacsim import circuit as circuit_module
 from sagnacsim.bench import _brent
 
-from conftest import reference_crystal
+from conftest import ode_oracle, reference_crystal
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +325,23 @@ class TestSwitchingTrace:
         n = len(result.intensity.samples)
         assert n >= 10**6
         assert peak / n <= 32
+
+    def test_ode_oracle_gives_the_fitted_edge(self):
+        # The oracle's voltage, mapped through the fitted bench, switches in
+        # the 1.6 ns that the on-resistance was fitted to.
+        scene = parse_config(
+            (Path(__file__).parents[1] / "demos" / "configs" / "fitted.ini").read_text()
+        )
+        setup, state, tr = scene.mz_setup(), linear_state(0.0), scene.trace
+        gates = GateSchedule((tr.gate_on,), tr.hold)
+        r_on = fit_mosfet_on_r(setup, state, scene.drive_circuit(), gates, tr.t_end, tr.dt, 1.6e-9)
+        circuit = replace(scene.drive_circuit(), mosfet_on_r=r_on)
+        voltage = ode_oracle(circuit, gates, tr.t_end, tr.dt, circuit.supply_voltage)
+        intensity = Waveform(0.0, tr.dt, [mz_intensity(setup, state, v) for v in voltage])
+        edge = edge_time_10_90(intensity, falling=False)
+        want = switching_trace(setup, state, circuit, gates, tr.t_end, tr.dt).optical_10_90
+        assert edge == pytest.approx(want, abs=1e-12)
+        assert edge == pytest.approx(1.6e-9, abs=1e-12)
 
     def test_fit_mosfet_on_r(self, ideal_setup, v_half):
         circuit, gates = switch_parts(v_half)

@@ -17,6 +17,8 @@ from sagnacsim import (
 from sagnacsim import circuit as circuit_module
 from sagnacsim.circuit import _dawson
 
+from conftest import ode_oracle
+
 
 def reference_circuit(mosfet_on_r=25.0, gate_rise_time=400e-12, supply=96.476):
     return DriveCircuit(
@@ -381,6 +383,14 @@ class TestTransientProperties:
     @edge_cases
     def test_edge_matches_per_sample_scan(self, t0, dt, samples, falling):
         check_edge_matches_per_sample_scan(t0, dt, samples, falling)
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(case=transients())
+    def test_simulate_matches_ode_oracle(self, case):
+        circuit, gates, t_end, dt, v_start = case
+        want = ode_oracle(circuit, gates, t_end, dt, v_start)
+        got = simulate(circuit, gates, t_end, dt, v_start=v_start).samples
+        assert np.max(np.abs(got - want)) <= 1e-9 * circuit.supply_voltage
 
     @pytest.mark.parametrize("block", SMALL_BLOCKS)
     @settings(derandomize=True, deadline=None, max_examples=300)
