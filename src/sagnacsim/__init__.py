@@ -1,71 +1,16 @@
 """Desk-scale simulator of a Sagnac-loop polarization-independent
 electro-optic phase shifter: Jones-calculus propagation through the
 non-reciprocal loop, the MOSFET/RC driver transient, and the Mach-Zehnder
-switch bench built around them."""
+switch bench built around them.
 
-from .bench import (
-    InfiniteContrastError,
-    MeasurementRecord,
-    MzSetup,
-    SwitchingTrace,
-    contrast_from_visibility,
-    fit_mosfet_on_r,
-    fit_reference_imperfections,
-    insertion_loss,
-    mz_intensity,
-    sawtooth_sweep,
-    sweep_curve,
-    switching_trace,
-    table1_report,
-    visibility_from_contrast,
-)
-from .circuit import (
-    DriveCircuit,
-    GateSchedule,
-    Waveform,
-    edge_time_10_90,
-    recovery_fraction,
-    simulate,
-)
-from .config import ConfigError, SceneConfig, parse_config, parse_number, render_config
-from .elements import (
-    CrystalSpec,
-    Eom,
-    FaradayRotator,
-    HalfWavePlate,
-    LossElement,
-    Mirror,
-    Pbs,
-    element_matrix,
-    half_wave_voltage,
-    pbs_combine,
-    pbs_combine_ports,
-    pbs_split,
-)
-from .loop import (
-    LoopLayout,
-    ScanPoint,
-    build_default_loop,
-    device_matrix,
-    device_matrix_batch,
-    independence_scan,
-    trace,
-    trace_ports,
-)
-from .polarization import (
-    H,
-    V,
-    PhaseDecomposition,
-    apply,
-    compose,
-    global_phase_decompose,
-    identity_infidelity,
-    is_unitary,
-    linear_state,
-    normalize,
-    rotation,
-    scaled_identity_infidelity,
-    stokes,
-)
+The package re-exports each module's ``__all__``, which is where every
+public name is declared."""
+
+from .bench import *
+from .circuit import *
+from .config import *
+from .elements import *
+from .loop import *
+from .polarization import *
 
 __version__ = "0.1.0"

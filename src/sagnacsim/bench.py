@@ -275,7 +275,7 @@ def switching_trace(
     intensity = Waveform(voltage.t0, voltage.dt, samples)
     # Direction of the first switching edge, judged over the first conduction
     # window (the later recharge swings the trace back the other way).
-    window_end = gates.on_times[0] + circuit.gate_delay + gates.hold_duration
+    window_end = _circuit._segments(circuit, gates)[3][0]
     n = len(intensity.samples)
     k = bisect_left(range(n), min(window_end, t_end), key=lambda k: intensity.t0 + k * dt)
     rising = intensity.samples[min(max(k - 1, 1), n - 1)] >= intensity.samples[0]

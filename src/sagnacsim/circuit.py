@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,6 +76,11 @@ class DriveCircuit:
                 raise ValueError(f"DriveCircuit.{name} must be finite and positive, got {value}")
         if not (math.isfinite(self.gate_delay) and self.gate_delay >= 0.0):
             raise ValueError(f"gate delay must be finite and non-negative, got {self.gate_delay}")
+        if not math.isfinite(_ramp_rate(self)):
+            raise ValueError(
+                f"gate_rise_time = {self.gate_rise_time:g} s is too short: "
+                "the ramp rate 1 / (2 total_c mosfet_on_r gate_rise_time) overflows"
+            )
         if self.mosfet_on_r / self.recharge_r >= 0.01:
             raise ValueError(
                 "mosfet_on_r must be below 1% of recharge_r "
@@ -99,7 +105,8 @@ class DriveCircuit:
 @dataclass(frozen=True)
 class GateSchedule:
     """Gate pulse train: conduction starts ``gate_delay`` after each entry of
-    ``on_times`` and lasts ``hold_duration`` (which must cover the rise)."""
+    ``on_times`` and lasts ``hold_duration`` (which must cover the rise). On
+    times are non-negative: a simulation starts at t = 0 with the gate off."""
 
     on_times: tuple
     hold_duration: float
@@ -110,6 +117,8 @@ class GateSchedule:
             raise ValueError("GateSchedule needs at least one on time")
         if not all(math.isfinite(t) for t in self.on_times):
             raise ValueError(f"on_times must be finite, got {self.on_times}")
+        if min(self.on_times) < 0.0:
+            raise ValueError(f"on_times must be non-negative, got {self.on_times}")
         if not (math.isfinite(self.hold_duration) and self.hold_duration > 0.0):
             raise ValueError(f"hold duration must be positive, got {self.hold_duration}")
         for a, b in zip(self.on_times, self.on_times[1:]):
@@ -195,28 +204,48 @@ def _dawson(x):
     return np.copysign(out, x)
 
 
-def _off_segment(v0: float, u: np.ndarray, circuit: DriveCircuit) -> np.ndarray:
-    sup = circuit.supply_voltage
-    return sup + (v0 - sup) * np.exp(-u / circuit.tau_recharge)
+def _ramp_rate(circuit: DriveCircuit) -> float:
+    """q = 1 / (2 C R_on t_rise), the ramp's quadratic decay rate; inf when it
+    overflows."""
+    product = 2.0 * circuit.total_c * circuit.mosfet_on_r * circuit.gate_rise_time
+    return 1.0 / product if product > 0.0 else math.inf
 
 
-def _on_segment(v0: float, u: np.ndarray, circuit: DriveCircuit) -> np.ndarray:
-    target = circuit.on_state_voltage
-    return target + (v0 - target) * np.exp(-u / circuit.tau_discharge)
+def _relax(target: float, tau: float, v0: float, u: np.ndarray) -> np.ndarray:
+    """Gate off or fully on: V relaxes from v0 toward target with constant tau."""
+    return target + (v0 - target) * np.exp(-u / tau)
 
 
-def _ramp_segment(v0: float, u: np.ndarray, circuit: DriveCircuit) -> np.ndarray:
+def _ramp(circuit: DriveCircuit, v0: float, u: np.ndarray) -> np.ndarray:
     # dV/du = (supply/R - V (1/R + u / (R_on t_rise))) / C
     # V(u) = e^{-B} v0 + supply (p / sqrt(q)) (F(z1) - e^{-B} F(z0)), F = Dawson
     # with B = p u + q u^2, z0 = p / (2 sqrt(q)), z1 = z0 + sqrt(q) u.
     p = 1.0 / (circuit.recharge_r * circuit.total_c)
-    q = 1.0 / (2.0 * circuit.total_c * circuit.mosfet_on_r * circuit.gate_rise_time)
+    q = _ramp_rate(circuit)
     sq = math.sqrt(q)
     z0 = p / (2.0 * sq)
     z1 = z0 + sq * u
     damp = np.exp(-(p * u + q * u**2))
     f = _dawson(np.append(z0, z1))
     return damp * v0 + circuit.supply_voltage * (p / sq) * (f[1:] - damp * f[0])
+
+
+def _segments(circuit: DriveCircuit, gates: GateSchedule) -> list:
+    """The driver's timeline: ``(start, evaluate)`` rows in time order, with
+    ``evaluate(v0, u)`` the voltage u seconds into the segment from v0.
+
+    Row 0 is the gate off from t = 0, then each pulse adds its ramp, on state
+    and off state; so row 3 starts where the first conduction window ends.
+    """
+    off = partial(_relax, circuit.supply_voltage, circuit.tau_recharge)
+    on = partial(_relax, circuit.on_state_voltage, circuit.tau_discharge)
+    ramp = partial(_ramp, circuit)
+    rows = [(0.0, off)]
+    for on_time in gates.on_times:
+        start = on_time + circuit.gate_delay
+        rows += [(start, ramp), (start + circuit.gate_rise_time, on),
+                 (start + gates.hold_duration, off)]
+    return rows
 
 
 def simulate(
@@ -230,7 +259,9 @@ def simulate(
 
     ``dt`` must resolve the fast discharge edge: dt < R_on * C / 10. A grid
     of more than 10**8 samples is refused before anything is allocated. The
-    initial voltage defaults to a fully discharged crystal.
+    initial voltage defaults to a fully discharged crystal. On times and the
+    gate delay are non-negative, so the gate is off at t = 0 and the waveform
+    starts from ``v_start``.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0.0):
@@ -250,13 +281,7 @@ def simulate(
             f"t_end / dt = {t_end / dt:.3g} exceeds {_MAX_SAMPLES:g} samples; refusing to allocate the grid"
         )
 
-    # Segments (start, evaluator): off, then ramp / on / off per gate pulse.
-    segments = [(0.0, _off_segment)]
-    for on_time in gates.on_times:
-        s = on_time + circuit.gate_delay
-        segments += [(s, _ramp_segment), (s + circuit.gate_rise_time, _on_segment),
-                     (s + gates.hold_duration, _off_segment)]
-    segments = [seg for seg in segments if seg[0] < t_end]
+    segments = [row for row in _segments(circuit, gates) if row[0] < t_end]
 
     grid = range(math.floor(t_end / dt) + 1)
     samples = np.empty(len(grid))
@@ -273,7 +298,7 @@ def simulate(
             u = np.arange(a, b + 1) * dt - start
             if b == hi:
                 u[-1] = end - start
-            values = evaluate(v0, u, circuit)
+            values = evaluate(v0, u)
             samples[a:b] = values[:-1]
         v0 = float(values[-1])
     return Waveform(0.0, dt, samples)

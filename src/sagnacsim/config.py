@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -203,33 +203,33 @@ class SceneConfig:
         )
 
 
-_SECTION_TYPES = {
-    "crystal": CrystalConfig,
-    "loop": LoopConfig,
-    "mz": MzConfig,
-    "circuit": CircuitConfig,
-    "scan": ScanConfig,
-    "sweep": SweepConfig,
-    "trace": TraceConfig,
-    "recovery": RecoveryConfig,
-    "loss": LossConfig,
-}
+def _kind(hint):
+    """The type an annotation names, with Optional stripped."""
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
 
-_STRING_KEYS = {"rotated_beam", "eom_axis", "output_port"}
-_LIST_KEYS = {"transmissions"}
+
+# The dataclasses are the one declaration of the format: SceneConfig's fields
+# name the sections, and each section's fields name its keys and their kinds
+# (str, tuple of numbers, int or float).
+_SECTIONS = {name: _kind(hint) for name, hint in get_type_hints(SceneConfig).items()}
+_KEY_KINDS = {
+    name: {key: _kind(hint) for key, hint in get_type_hints(cls).items()}
+    for name, cls in _SECTIONS.items()
+}
 
 
 def _convert(section: str, key: str, raw: str, lineno: int):
+    kind = _KEY_KINDS[section][key]
     try:
-        if key in _STRING_KEYS:
+        if kind is str:
             return raw.strip()
-        if key in _LIST_KEYS:
+        if kind is tuple:
             items = [part for part in raw.split(",") if part.strip()]
             if not items:
                 raise ValueError("empty list")
             return tuple(parse_number(part) for part in items)
         value = parse_number(raw)
-        if key == "samples":
+        if kind is int:
             if not (value.is_integer() and 1 <= value <= _MAX_SAMPLES):
                 raise ValueError(
                     f"must be a positive integer no larger than {_MAX_SAMPLES}, got {raw.strip()!r}"
@@ -252,9 +252,6 @@ def parse_config(text: str) -> SceneConfig:
     override the parsed v_max, t_end and dt.
     """
     raw_sections: dict[str, dict[str, object]] = {}
-    key_fields: dict[str, dict] = {
-        name: {f.name: f for f in fields(cls)} for name, cls in _SECTION_TYPES.items()
-    }
     current: Optional[str] = None
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
@@ -264,7 +261,7 @@ def parse_config(text: str) -> SceneConfig:
             if not (line.endswith("]") and len(line) > 2):
                 raise ConfigError(f"line {lineno}: malformed section header {line!r}")
             name = line[1:-1].strip()
-            if name not in _SECTION_TYPES:
+            if name not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{name}]")
             if name in raw_sections:
                 raise ConfigError(f"line {lineno}: duplicate section [{name}]")
@@ -276,7 +273,7 @@ def parse_config(text: str) -> SceneConfig:
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        if key not in key_fields[current]:
+        if key not in _KEY_KINDS[current]:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in [{current}]")
         if key in raw_sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key '{key}' in [{current}]")
@@ -284,7 +281,7 @@ def parse_config(text: str) -> SceneConfig:
 
     built: dict[str, object] = {}
     for name, values in raw_sections.items():
-        cls = _SECTION_TYPES[name]
+        cls = _SECTIONS[name]
         required = {
             f.name for f in fields(cls) if f.default is MISSING and f.name not in values
         }
@@ -308,7 +305,7 @@ def _format_value(value) -> str:
 def render_config(config: SceneConfig) -> str:
     """Canonical text form; parse_config(render_config(c)) equals c."""
     lines: list[str] = []
-    for name in _SECTION_TYPES:
+    for name in _SECTIONS:
         section = getattr(config, name)
         if section is None:
             continue

@@ -11,12 +11,12 @@ from scipy.optimize import brentq
 from sagnacsim import (
     DriveCircuit,
     GateSchedule,
-    Waveform,
-    edge_time_10_90,
     InfiniteContrastError,
     MzSetup,
+    Waveform,
     build_default_loop,
     contrast_from_visibility,
+    edge_time_10_90,
     fit_mosfet_on_r,
     fit_reference_imperfections,
     half_wave_voltage,

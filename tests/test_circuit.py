@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,20 @@ class TestDriveCircuit:
         with pytest.raises(ValueError):
             DriveCircuit(96.0, 20e3, -50e-12, 25.0, 400e-12)
 
+    @pytest.mark.parametrize("rise", [1e-300, 1e-320])
+    def test_overflowing_ramp_rate_rejected(self, rise):
+        # 1 / (2 C R_on t_rise) overflows at 1e-300 and divides by an
+        # underflowed 0 at 1e-320.
+        with pytest.raises(ValueError, match="gate_rise_time"):
+            reference_circuit(gate_rise_time=rise)
+
+    def test_short_finite_ramp_rate_runs_without_warnings(self):
+        c = reference_circuit(gate_rise_time=1e-290)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = simulate(c, GateSchedule((1e-9,), 10e-9), 5e-9, 1e-11, v_start=c.supply_voltage)
+        assert w.samples[-1] < 0.1 * c.supply_voltage
+
 
 class TestGateSchedule:
     def test_must_increase(self):
@@ -70,6 +85,20 @@ class TestGateSchedule:
     def test_periodic_zero_rate_rejected(self):
         with pytest.raises(ValueError, match="repetition rate"):
             GateSchedule.periodic(0.0, 3, 1e-6)
+
+    def test_on_time_before_zero_rejected(self):
+        with pytest.raises(ValueError, match="on_times must be non-negative"):
+            GateSchedule((-1e-9,), 30e-9)
+
+    def test_periodic_start_before_zero_rejected(self):
+        with pytest.raises(ValueError, match="on_times must be non-negative"):
+            GateSchedule.periodic(1e6, 3, 1e-7, start=-1e-9)
+
+    def test_on_time_zero_starts_from_v_start(self):
+        c = reference_circuit()
+        w = simulate(c, GateSchedule((0.0,), 30e-9), 10e-9, 1e-11, v_start=c.supply_voltage)
+        assert w.samples[0] == pytest.approx(c.supply_voltage, rel=1e-15)
+        assert w.samples[-1] < 0.01 * c.supply_voltage
 
 
 class TestSimulate:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -334,6 +335,27 @@ class TestCli:
         out = tmp_path / "o.csv"
         assert main(["device-matrix", "--config", str(bad), "--out", str(out)]) == 2
         assert "samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, bad_line, message",
+        [
+            ("gate_on = 2n", "gate_on = -1", "on_times must be non-negative"),
+            ("gate_rise_time = 400p", "gate_rise_time = 1e-300", "gate_rise_time = 1e-300 s is too short"),
+        ],
+    )
+    def test_bad_driver_value_exit_3_without_warnings(self, tmp_path, capsys, line, bad_line, message):
+        text = (ROOT / "demos/configs/fitted.ini").read_text()
+        assert line in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(line, bad_line))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["transient", "--config", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_degenerate_half_wave_voltage_exit_3(self, tmp_path, capsys):
