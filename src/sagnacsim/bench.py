@@ -94,21 +94,32 @@ class MzSetup:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One fringe measurement: background-corrected extrema, visibility,
-    contrast, and the fitted half-wave voltage."""
+    """One fringe measurement: the background-corrected extrema, which give
+    the visibility and contrast, and the fitted half-wave voltage."""
 
     i_on: float
     i_off: float
-    visibility: float
-    contrast_ratio: float
-    contrast_db: float
     v_half_fit: float
 
     def __post_init__(self):
-        if not self.i_on >= self.i_off >= -1e-12:
-            raise ValueError(f"need i_on >= i_off >= 0, got {self.i_on}, {self.i_off}")
+        if not (self.i_on >= self.i_off >= -1e-12 and self.i_on + self.i_off > 0.0):
+            raise ValueError(
+                f"need i_on >= i_off >= 0 and i_on + i_off > 0, got {self.i_on}, {self.i_off}"
+            )
         if not -1e-12 <= self.visibility <= 1.0 + 1e-12:
             raise ValueError(f"visibility out of range: {self.visibility}")
+
+    @property
+    def visibility(self) -> float:
+        return (self.i_on - self.i_off) / (self.i_on + self.i_off)
+
+    @property
+    def contrast_ratio(self) -> float:
+        return self.i_on / self.i_off if self.i_off > 0.0 else math.inf
+
+    @property
+    def contrast_db(self) -> float:
+        return 10.0 * math.log10(self.contrast_ratio)
 
 
 def _intensities(setup: MzSetup, state, matrices: np.ndarray) -> np.ndarray:
@@ -165,21 +176,7 @@ def _record(voltages: np.ndarray, corrected: np.ndarray) -> MeasurementRecord:
     i_off = float(np.min(corrected))
     if i_on - i_off <= 1e-15 * max(i_on, 1.0):
         raise ValueError("sweep too short: no fringe extrema found")
-    visibility = (i_on - i_off) / (i_on + i_off)
-    if i_off > 0.0:
-        ratio = i_on / i_off
-        db = 10.0 * math.log10(ratio)
-    else:
-        ratio = math.inf
-        db = math.inf
-    return MeasurementRecord(
-        i_on=i_on,
-        i_off=i_off,
-        visibility=visibility,
-        contrast_ratio=ratio,
-        contrast_db=db,
-        v_half_fit=_extrema_spacing(voltages, corrected),
-    )
+    return MeasurementRecord(i_on, i_off, _extrema_spacing(voltages, corrected))
 
 
 def _sweep_records(setup: MzSetup, states, v_max: float, n: int) -> list[MeasurementRecord]:
@@ -387,5 +384,8 @@ def table1_report(
     one batch of device matrices.
     """
     if v_max is None:
-        v_max = 2.0 * half_wave_voltage(setup.loop.crystal)
+        v_half = half_wave_voltage(setup.loop.crystal)
+        v_max = 2.0 * v_half
+        if not math.isfinite(v_max):
+            raise ValueError(f"the default sweep ceiling 2 * V_half overflows at V_half = {v_half:g} V")
     return _sweep_records(setup, [linear_state(a) for a in input_angles], v_max, n)

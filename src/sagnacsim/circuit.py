@@ -76,10 +76,17 @@ class DriveCircuit:
                 raise ValueError(f"DriveCircuit.{name} must be finite and positive, got {value}")
         if not (math.isfinite(self.gate_delay) and self.gate_delay >= 0.0):
             raise ValueError(f"gate delay must be finite and non-negative, got {self.gate_delay}")
-        if not math.isfinite(_ramp_rate(self)):
+        rate = _ramp_rate(self)
+        if not (math.isfinite(rate) and rate > 0.0):
             raise ValueError(
-                f"gate_rise_time = {self.gate_rise_time:g} s is too short: "
-                "the ramp rate 1 / (2 total_c mosfet_on_r gate_rise_time) overflows"
+                f"gate_rise_time = {self.gate_rise_time:g} s is too {'short' if rate else 'long'}: "
+                f"the ramp rate 1 / (2 total_c mosfet_on_r gate_rise_time) = {rate:g} /s^2 "
+                "must be finite and positive"
+            )
+        if not math.isfinite(self.on_state_voltage):
+            raise ValueError(
+                "the on-state voltage supply_voltage * mosfet_on_r / (mosfet_on_r + recharge_r) "
+                f"overflows at supply_voltage = {self.supply_voltage:g} V"
             )
         if self.mosfet_on_r / self.recharge_r >= 0.01:
             raise ValueError(
@@ -206,7 +213,7 @@ def _dawson(x):
 
 def _ramp_rate(circuit: DriveCircuit) -> float:
     """q = 1 / (2 C R_on t_rise), the ramp's quadratic decay rate; inf when it
-    overflows."""
+    overflows, 0 when it underflows."""
     product = 2.0 * circuit.total_c * circuit.mosfet_on_r * circuit.gate_rise_time
     return 1.0 / product if product > 0.0 else math.inf
 

@@ -22,19 +22,17 @@ import numpy as np
 
 from .bench import insertion_loss, switching_trace, table1_report
 from .circuit import GateSchedule, recovery_fraction
-from .config import ConfigError, SceneConfig, parse_config
+from .config import ConfigError, SceneConfig, parse_config, parse_number
 from .elements import half_wave_voltage
 from .loop import device_matrix_batch, independence_scan
 from .polarization import linear_state
 
-def _finite_float(text: str) -> float:
+def _number(text: str) -> float:
+    """A flag's number, in the config file's grammar (SI suffixes allowed)."""
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+        return parse_number(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fmt(value: float) -> str:
@@ -63,7 +61,10 @@ def _resolve(cfg: SceneConfig, args: argparse.Namespace) -> SceneConfig:
 def _scan_voltages(cfg: SceneConfig) -> np.ndarray:
     v_max = cfg.scan.v_max
     if v_max is None:
-        v_max = 2.0 * half_wave_voltage(cfg.crystal_spec())
+        v_half = half_wave_voltage(cfg.crystal_spec())
+        v_max = 2.0 * v_half
+        if not math.isfinite(v_max):
+            raise ValueError(f"the default scan ceiling 2 * V_half overflows at V_half = {v_half:g} V")
     return np.linspace(0.0, v_max, cfg.scan.samples)
 
 
@@ -154,9 +155,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="scene configuration file")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--sweep-max", type=_finite_float, default=None, help="sweep ceiling in volts")
-    parser.add_argument("--dt", type=_finite_float, default=None, help="transient sample step in seconds")
-    parser.add_argument("--t-end", type=_finite_float, default=None, help="transient duration in seconds")
+    parser.add_argument("--sweep-max", type=_number, default=None, help="sweep ceiling in volts")
+    parser.add_argument("--dt", type=_number, default=None, help="transient sample step in seconds")
+    parser.add_argument("--t-end", type=_number, default=None, help="transient duration in seconds")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # 2 after a usage error, 0 after --help

@@ -72,14 +72,14 @@ class LoopLayout:
     ``cw_path`` as seen by the clockwise beam; the counter-clockwise beam
     reads it in reverse with backward matrices. ``output_port`` selects which
     recombined output ``trace`` returns: "B", the exit port distinct from the
-    input (the default), or "A", the input-side return port. The compiled
-    parts are not a field of equality, hashing or ``dataclasses.replace``: a
-    replaced layout compiles anew.
+    input (the default), or "A", the input-side return port. The layout's
+    ``crystal`` is its one modulator's. The compiled parts are not a field
+    of equality, hashing or ``dataclasses.replace``: a replaced layout
+    compiles anew.
     """
 
     pbs: Pbs
     cw_path: tuple
-    crystal: CrystalSpec
     output_port: str = "B"
     _parts: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -88,13 +88,15 @@ class LoopLayout:
         eoms = [e for e in self.cw_path if isinstance(e, Eom)]
         if len(eoms) != 1:
             raise ValueError(f"cw_path must contain exactly one Eom, found {len(eoms)}")
-        if eoms[0].crystal != self.crystal:
-            raise ValueError("the Eom in cw_path must use the layout's crystal")
         if self.output_port not in _PORTS:
             raise ValueError(f"output_port must be 'A' or 'B', got {self.output_port!r}")
         parts = _compile(self)
         parts.setflags(write=False)
         object.__setattr__(self, "_parts", parts)
+
+    @property
+    def crystal(self) -> CrystalSpec:
+        return self.eom.crystal
 
     @property
     def eom(self) -> Eom:
@@ -139,7 +141,7 @@ def build_default_loop(
               FaradayRotator(fr_angle if fr2_angle is None else fr2_angle))
     if rotated_beam == "ccw":  # rotator ahead of the plate on both sides
         first, second = first[::-1], second[::-1]
-    return LoopLayout(pbs or Pbs(), (*first, eom, *second), crystal, output_port)
+    return LoopLayout(pbs or Pbs(), (*first, eom, *second), output_port)
 
 
 def _compile(layout: LoopLayout) -> np.ndarray:

@@ -54,7 +54,7 @@ def random_imperfect_layout(rng: np.random.Generator) -> LoopLayout:
         FaradayRotator(rng.uniform(-math.pi, math.pi)),
     )
     pbs = Pbs(extinction_t=rng.uniform(0.0, 0.29), extinction_r=rng.uniform(0.0, 0.29))
-    return LoopLayout(pbs=pbs, cw_path=path, crystal=crystal)
+    return LoopLayout(pbs=pbs, cw_path=path)
 
 
 def oracle_device_matrix(layout: LoopLayout, voltage: float) -> np.ndarray:

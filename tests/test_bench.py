@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -12,6 +12,7 @@ from sagnacsim import (
     DriveCircuit,
     GateSchedule,
     InfiniteContrastError,
+    MeasurementRecord,
     MzSetup,
     Waveform,
     build_default_loop,
@@ -77,6 +78,38 @@ class TestMzSetup:
     def test_imbalance_positive(self, crystal):
         with pytest.raises(ValueError):
             MzSetup(loop=build_default_loop(crystal), arm_imbalance=0.0)
+
+    def test_ref_arm_must_be_2x2(self, crystal):
+        with pytest.raises(ValueError, match="2x2"):
+            MzSetup(loop=build_default_loop(crystal), ref_arm=np.eye(3))
+
+
+class TestMeasurementRecord:
+    def test_stores_only_the_extrema_and_the_fit(self):
+        assert [f.name for f in fields(MeasurementRecord)] == ["i_on", "i_off", "v_half_fit"]
+        rec = MeasurementRecord(0.9, 0.1, 96.0)
+        assert rec.visibility == (0.9 - 0.1) / (0.9 + 0.1)
+        assert rec.contrast_ratio == 0.9 / 0.1
+        assert rec.contrast_db == 10.0 * math.log10(0.9 / 0.1)
+
+    def test_dark_minimum_gives_infinite_contrast(self):
+        rec = MeasurementRecord(1.0, 0.0, 96.0)
+        assert rec.visibility == 1.0
+        assert rec.contrast_ratio == math.inf and rec.contrast_db == math.inf
+
+    @pytest.mark.parametrize(
+        "i_on, i_off, message",
+        [
+            (0.1, 0.9, "need i_on >= i_off"),
+            (0.5, -0.1, "need i_on >= i_off"),
+            (0.0, 0.0, "need i_on >= i_off"),  # visibility 0 / 0
+            (math.nan, 0.1, "need i_on >= i_off"),
+            (2e-12, -1e-12, "visibility out of range"),  # i_off inside the rounding allowance
+        ],
+    )
+    def test_invalid_extrema_rejected(self, i_on, i_off, message):
+        with pytest.raises(ValueError, match=message):
+            MeasurementRecord(i_on, i_off, 96.0)
 
 
 class TestMzIntensity:
@@ -170,6 +203,11 @@ class TestSawtoothSweep:
                 setup, linear_state(rng.uniform(0, math.pi)), 2 * v_half, 513
             )
             assert rec.visibility <= gamma + 1e-9
+
+    def test_flat_fringe_rejected(self, ideal_setup, v_half):
+        # With no mode overlap nothing interferes: the detected power is flat.
+        with pytest.raises(ValueError, match="sweep too short"):
+            sawtooth_sweep(replace(ideal_setup, mode_overlap=0.0), linear_state(0.0), 2 * v_half, 1001)
 
     def test_range_preconditions(self, ideal_setup, v_half):
         with pytest.raises(ValueError, match="sweep range"):
@@ -446,3 +484,7 @@ class TestFitReferenceImperfections:
     def test_rejects_excess_45(self):
         with pytest.raises(ValueError, match="model"):
             fit_reference_imperfections(0.90, 0.95, 0.90)
+
+    def test_rejects_zero_mode_overlap(self):
+        with pytest.raises(ValueError, match="mode overlap out of range"):
+            fit_reference_imperfections(0.0, 0.5, 0.0)

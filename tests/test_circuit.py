@@ -46,12 +46,30 @@ class TestDriveCircuit:
         with pytest.raises(ValueError):
             DriveCircuit(96.0, 20e3, -50e-12, 25.0, 400e-12)
 
-    @pytest.mark.parametrize("rise", [1e-300, 1e-320])
-    def test_overflowing_ramp_rate_rejected(self, rise):
-        # 1 / (2 C R_on t_rise) overflows at 1e-300 and divides by an
-        # underflowed 0 at 1e-320.
-        with pytest.raises(ValueError, match="gate_rise_time"):
-            reference_circuit(gate_rise_time=rise)
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (96.476, 20e3, 50e-12, 25.0, 1e-300),
+            (96.476, 20e3, 50e-12, 25.0, 1e-320),
+            (1.0, 1e302, 1e4, 1e299, 1e10),
+        ],
+        ids=["1e-300", "1e-320", "1e10"],
+    )
+    def test_overflowing_ramp_rate_rejected(self, args):
+        # 1 / (2 C R_on t_rise) overflows at 1e-300, divides by an underflowed
+        # 0 at 1e-320, and is 1 / inf = 0 when the product overflows.
+        with pytest.raises(ValueError, match=r"gate_rise_time = \S+ s is too"):
+            DriveCircuit(*args)
+
+    @pytest.mark.parametrize("delay", [-1e-9, math.nan])
+    def test_gate_delay_must_be_non_negative(self, delay):
+        with pytest.raises(ValueError, match="gate delay must be finite and non-negative"):
+            DriveCircuit(96.476, 20e3, 50e-12, 25.0, 400e-12, gate_delay=delay)
+
+    def test_overflowing_on_state_voltage_rejected(self):
+        # supply * R_on overflows although the divider voltage itself would not.
+        with pytest.raises(ValueError, match="on-state voltage"):
+            reference_circuit(supply=1.5e308)
 
     def test_short_finite_ramp_rate_runs_without_warnings(self):
         c = reference_circuit(gate_rise_time=1e-290)
@@ -73,6 +91,15 @@ class TestGateSchedule:
     def test_periodic_builder(self):
         g = GateSchedule.periodic(100e3, 3, 1e-6, start=2e-6)
         np.testing.assert_allclose(g.on_times, (2e-6, 12e-6, 22e-6), rtol=1e-12)
+
+    def test_needs_an_on_time(self):
+        with pytest.raises(ValueError, match="at least one on time"):
+            GateSchedule((), 1e-6)
+
+    @pytest.mark.parametrize("hold", [0.0, -1e-9, math.nan])
+    def test_hold_duration_must_be_positive(self, hold):
+        with pytest.raises(ValueError, match="hold duration must be positive"):
+            GateSchedule((1e-9,), hold)
 
     def test_nan_on_time_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -109,6 +136,17 @@ class TestSimulate:
     def test_grid_must_be_finite_and_positive(self, t_end, dt):
         with pytest.raises(ValueError, match="finite and positive"):
             simulate(reference_circuit(), GateSchedule((1e-9,), 1e-8), t_end, dt)
+
+    def test_hold_must_exceed_rise_time(self):
+        c = reference_circuit()
+        with pytest.raises(ValueError, match="hold_duration must exceed the gate rise time"):
+            simulate(c, GateSchedule((1e-9,), c.gate_rise_time), 5e-9, 1e-11)
+
+    @pytest.mark.parametrize("fraction", [-0.02, 1.02, math.nan])
+    def test_v_start_outside_range_rejected(self, fraction):
+        c = reference_circuit()
+        with pytest.raises(ValueError, match="v_start outside"):
+            simulate(c, GateSchedule((1e-9,), 1e-8), 5e-9, 1e-11, v_start=fraction * c.supply_voltage)
 
     def test_dt_precondition(self):
         c = reference_circuit()
@@ -226,6 +264,11 @@ class TestRecoveryFraction:
     def test_nan_hold_rejected(self):
         with pytest.raises(ValueError, match="hold duration"):
             recovery_fraction(reference_circuit(), 100e3, math.nan)
+
+    @pytest.mark.parametrize("rate", [0.0, -1e3, math.inf])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="repetition rate must be positive"):
+            recovery_fraction(reference_circuit(), rate, 0.0)
 
     def test_cross_validates_against_simulate(self):
         c = reference_circuit()

@@ -157,6 +157,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="outside"):
             parse_config("background = 1")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[crystal\nlength_L = 20m", r"line 1: malformed section header"),
+            ("[]", r"line 1: malformed section header"),
+            ("[mz]\n[loop]\n[mz]", r"line 3: duplicate section \[mz\]"),
+            ("[mz]\nbackground 1", r"line 2: expected 'key = value'"),
+            ("[loss]\ntransmissions = ,", r"line 2: key 'transmissions' in \[loss\]: empty list"),
+        ],
+    )
+    def test_malformed_lines(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match=r"\[crystal\].*missing"):
             parse_config("[crystal]\nlength_L = 20m")
@@ -276,13 +290,25 @@ class TestCli:
             ("independence-scan", "--sweep-max", "inf"),
             ("transient", "--dt", "nan"),
             ("transient", "--t-end", "inf"),
+            ("transient", "--dt", "abc"),
         ],
     )
     def test_non_finite_flag_usage_error(self, config_path, tmp_path, capsys, command, flag, value):
+        # Flags are parsed by parse_number, so they report its messages.
         code, out = self.run(command, config_path, tmp_path, flag, value)
         assert code == 1
-        assert "not a finite number" in capsys.readouterr().err
+        message = "malformed number" if value == "abc" else "number must be finite"
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_flags_take_si_suffixes(self, config_path, tmp_path, capsys):
+        # Flags parse like config values: '5p' is exactly 5e-12.
+        outputs = []
+        for flags in (["--t-end", "35e-9", "--dt", "5e-12"], ["--t-end", "35n", "--dt", "5p"]):
+            code, out = self.run("transient", config_path, tmp_path, *flags)
+            assert code == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "command, extra, message",
@@ -342,6 +368,8 @@ class TestCli:
         [
             ("gate_on = 2n", "gate_on = -1", "on_times must be non-negative"),
             ("gate_rise_time = 400p", "gate_rise_time = 1e-300", "gate_rise_time = 1e-300 s is too short"),
+            # V_half is about 1.52e308 V, the default supply: supply * R_on overflows.
+            ("wavelength = 632.8n", "wavelength = 1e300", "on-state voltage"),
         ],
     )
     def test_bad_driver_value_exit_3_without_warnings(self, tmp_path, capsys, line, bad_line, message):
@@ -358,12 +386,55 @@ class TestCli:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("device-matrix", "default scan ceiling 2 * V_half overflows"),
+            ("independence-scan", "default scan ceiling 2 * V_half overflows"),
+            ("table1", "default sweep ceiling 2 * V_half overflows"),
+        ],
+    )
+    def test_huge_half_wave_voltage_exit_3_without_warnings(self, tmp_path, capsys, command, message):
+        # V_half is about 1.52e308 V: finite, but twice it is not.
+        text = (ROOT / "demos/configs/fitted.ini").read_text()
+        assert "wavelength = 632.8n" in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace("wavelength = 632.8n", "wavelength = 1e300"))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(bad), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
+
     def test_degenerate_half_wave_voltage_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(IDEAL_TEXT.replace("n_e = 2.20", "n_e = 1e-200"))
         out = tmp_path / "o.csv"
         assert main(["device-matrix", "--config", str(bad), "--out", str(out)]) == 3
         assert "half-wave voltage must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, section",
+        [
+            ("device-matrix", "[loop]\n", "[crystal]"),
+            ("table1", "[mz]\n", "[crystal]"),
+            # The supply defaults to V_half, which needs the crystal.
+            ("recovery", "[circuit]\nR = 20k\nC = 50p\nmosfet_on_R = 24\n", "[crystal]"),
+            ("transient", IDEAL_TEXT.split("[circuit]")[0], "[circuit]"),
+            ("recovery", IDEAL_TEXT.split("[circuit]")[0], "[circuit]"),
+            ("loss", IDEAL_TEXT, "[loss]"),
+        ],
+    )
+    def test_missing_section_exit_2(self, tmp_path, capsys, command, text, section):
+        cfg = tmp_path / "partial.ini"
+        cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"missing required section {section}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_domain_error_exit_3(self, config_path, tmp_path, capsys):

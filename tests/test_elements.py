@@ -113,6 +113,25 @@ class TestElementMatrices:
                 with pytest.raises(ValueError, match="modulator phase must be finite"):
                     eom.phase_factors(v)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda x: HalfWavePlate(x), "axis angle must be finite"),
+            (lambda x: FaradayRotator(x), "rotation angle must be finite"),
+            (lambda x: Eom(reference_crystal(), residual_orthogonal_phase=x), "residual phase rate must be finite"),
+            (lambda x: Mirror(x), "phase offset must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_angle_or_phase_rejected(self, build, message, value):
+        with pytest.raises(ValueError, match=message):
+            build(value)
+
+    @pytest.mark.parametrize("transmission", [0.0, -0.1, 1.5, math.nan])
+    def test_loss_transmission_outside_unit_interval_rejected(self, transmission):
+        with pytest.raises(ValueError, match="transmission must lie in"):
+            LossElement(transmission)
+
     def test_mirror_and_loss(self):
         np.testing.assert_allclose(
             element_matrix(Mirror(0.5)), np.exp(0.5j) * np.eye(2), atol=1e-15

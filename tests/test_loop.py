@@ -70,15 +70,18 @@ class TestBuildDefaultLoop:
 
     def test_exactly_one_eom_required(self, crystal):
         with pytest.raises(ValueError, match="exactly one Eom"):
-            LoopLayout(pbs=Pbs(), cw_path=(HalfWavePlate(0.1),), crystal=crystal)
+            LoopLayout(pbs=Pbs(), cw_path=(HalfWavePlate(0.1),))
         eom = Eom(crystal)
         with pytest.raises(ValueError, match="exactly one Eom"):
-            LoopLayout(pbs=Pbs(), cw_path=(eom, eom), crystal=crystal)
+            LoopLayout(pbs=Pbs(), cw_path=(eom, eom))
 
-    def test_crystal_mismatch_rejected(self, crystal):
-        other = CrystalSpec(10e-3, 1e-3, 633e-9, 2.2, 30e-12)
-        with pytest.raises(ValueError, match="crystal"):
-            LoopLayout(pbs=Pbs(), cw_path=(Eom(other),), crystal=crystal)
+    def test_crystal_is_the_modulators(self, ideal):
+        assert [f.name for f in dataclasses.fields(ideal) if f.init] == ["pbs", "cw_path", "output_port"]
+        assert ideal.crystal is ideal.eom.crystal
+
+    def test_unknown_rotated_beam_rejected(self, crystal):
+        with pytest.raises(ValueError, match="rotated_beam"):
+            build_default_loop(crystal, rotated_beam="x")
 
 
 class TestCompiledLayout:
@@ -90,7 +93,7 @@ class TestCompiledLayout:
     )
     def test_element_without_matrix_fails_at_construction(self, crystal, element, error, message):
         with pytest.raises(error, match=message):
-            LoopLayout(Pbs(), (HalfWavePlate(0.1), element, Eom(crystal)), crystal)
+            LoopLayout(Pbs(), (HalfWavePlate(0.1), element, Eom(crystal)))
 
     def test_compiled_parts_are_read_only(self, ideal):
         assert not ideal._parts.flags.writeable
@@ -315,8 +318,8 @@ class TestEomPlacement:
         eom = Eom(crystal)
         mirror = Mirror(0.7)
         hwp, fr = HalfWavePlate(math.pi / 8), FaradayRotator(math.pi / 4)
-        centered = LoopLayout(Pbs(), (hwp, fr, mirror, eom, hwp, fr), crystal)
-        shifted = LoopLayout(Pbs(), (hwp, fr, eom, mirror, hwp, fr), crystal)
+        centered = LoopLayout(Pbs(), (hwp, fr, mirror, eom, hwp, fr))
+        shifted = LoopLayout(Pbs(), (hwp, fr, eom, mirror, hwp, fr))
         for v in (0.0, 0.4 * v_half, v_half):
             np.testing.assert_allclose(
                 device_matrix(centered, v), device_matrix(shifted, v), atol=1e-12

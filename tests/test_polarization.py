@@ -75,6 +75,17 @@ class TestApplyCompose:
         product = compose(element_matrix(HalfWavePlate(math.pi / 8)), rotation(math.pi / 4))
         np.testing.assert_allclose(product, np.diag([1.0, -1.0]), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: apply(I2, np.ones(3)), "state must have shape"),
+            (lambda: compose(np.eye(3), I2), "transform must have shape"),
+        ],
+    )
+    def test_shape_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_apply_respects_compose(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -165,6 +176,10 @@ class TestIdentityInfidelity:
     def test_scaled_variant_ignores_common_loss(self):
         assert scaled_identity_infidelity(0.3 * np.exp(0.7j) * I2) == pytest.approx(0.0, abs=1e-15)
         assert scaled_identity_infidelity(np.diag([1.0, 0.5])) > 0.01
+
+    def test_scaled_variant_rejects_zero_matrix(self):
+        with pytest.raises(ValueError, match="zero matrix"):
+            scaled_identity_infidelity(np.zeros((2, 2)))
 
 
 class TestStokes:
