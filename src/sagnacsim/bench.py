@@ -37,7 +37,7 @@ from . import circuit as _circuit
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
 from .elements import half_wave_voltage
 from .loop import LoopLayout, device_matrix_batch
-from .polarization import linear_state
+from .polarization import _as_normalized_state, _as_state, linear_state
 
 __all__ = [
     "InfiniteContrastError",
@@ -81,6 +81,8 @@ class MzSetup:
         ref = np.eye(2, dtype=complex) if self.ref_arm is None else np.asarray(self.ref_arm, complex)
         if ref.shape != (2, 2):
             raise ValueError("ref_arm must be a 2x2 transform")
+        if not np.all(np.isfinite(ref)):
+            raise ValueError(f"ref_arm must be finite, got {ref.tolist()}")
         ref = ref.copy()
         ref.setflags(write=False)
         object.__setattr__(self, "ref_arm", ref)
@@ -122,32 +124,43 @@ class MeasurementRecord:
         return 10.0 * math.log10(self.contrast_ratio)
 
 
-def _intensities(setup: MzSetup, state, matrices: np.ndarray) -> np.ndarray:
-    """Detected power for each device matrix of a batch, shape (n, 2, 2)."""
-    s = np.asarray(state, dtype=complex)
-    dev = np.einsum("vij,j->vi", matrices, s)
-    ref = setup.ref_arm @ s
+def _intensities(setup: MzSetup, states, voltages) -> np.ndarray:
+    """Detected power of each input state at each drive voltage, shape
+    (len(states), len(voltages)). The voltages go through the loop in the
+    driver's blocks, and each block's device matrices serve every state."""
+    states = [_as_state(s) for s in states]
+    refs = [math.sqrt(setup.arm_imbalance) * (setup.ref_arm @ s) for s in states]
     gamma = setup.mode_overlap
-    scaled_ref = math.sqrt(setup.arm_imbalance) * ref
-    coherent = 0.25 * np.sum(np.abs(dev + gamma * scaled_ref[None, :]) ** 2, axis=1)
-    incoherent = 0.125 * (1.0 - gamma**2) * (
-        np.sum(np.abs(dev) ** 2, axis=1) + float(np.sum(np.abs(scaled_ref) ** 2))
-    )
-    return setup.background + coherent + incoherent
+    out = np.empty((len(states), len(voltages)))
+    block = _circuit._BLOCK
+    for a in range(0, len(voltages), block):
+        matrices = device_matrix_batch(setup.loop, voltages[a : a + block])
+        for row, s, ref in zip(out, states, refs):
+            dev = np.einsum("vij,j->vi", matrices, s)
+            coherent = 0.25 * np.sum(np.abs(dev + gamma * ref) ** 2, axis=1)
+            incoherent = 0.125 * (1.0 - gamma**2) * (
+                np.sum(np.abs(dev) ** 2, axis=1) + float(np.sum(np.abs(ref) ** 2))
+            )
+            row[a : a + block] = setup.background + coherent + incoherent
+    return out
 
 
 def mz_intensity(setup: MzSetup, state, drive_voltage: float) -> float:
     """Detected power for a normalized input at one drive voltage."""
-    norm2 = float(np.sum(np.abs(np.asarray(state, dtype=complex)) ** 2))
-    if abs(norm2 - 1.0) > 1e-6:
-        raise ValueError(f"mz_intensity expects a normalized input, got norm^2 = {norm2}")
-    return float(_intensities(setup, state, device_matrix_batch(setup.loop, [drive_voltage]))[0])
+    return float(_intensities(setup, [_as_normalized_state(state)], [drive_voltage])[0, 0])
+
+
+def _sweep_grid(v_max: float, n: int) -> np.ndarray:
+    """The n voltages of a linear 0..v_max sweep."""
+    if not math.isfinite(v_max):
+        raise ValueError(f"sweep ceiling v_max must be finite, got {v_max}")
+    return np.linspace(0.0, v_max, n)
 
 
 def sweep_curve(setup: MzSetup, state, v_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw fringe curve of a linear 0..v_max sweep: (voltages, intensities)."""
-    voltages = np.linspace(0.0, v_max, n)
-    return voltages, _intensities(setup, state, device_matrix_batch(setup.loop, voltages))
+    voltages = _sweep_grid(v_max, n)
+    return voltages, _intensities(setup, [state], voltages)[0]
 
 
 def _extrema_spacing(voltages: np.ndarray, values: np.ndarray) -> float:
@@ -180,8 +193,7 @@ def _record(voltages: np.ndarray, corrected: np.ndarray) -> MeasurementRecord:
 
 
 def _sweep_records(setup: MzSetup, states, v_max: float, n: int) -> list[MeasurementRecord]:
-    """One record per input state, all read from one 0..v_max sweep grid and
-    its one batch of device matrices."""
+    """One record per input state, all read from one 0..v_max sweep grid."""
     nominal = half_wave_voltage(setup.loop.crystal)
     if v_max < 1.5 * nominal:
         raise ValueError(
@@ -189,9 +201,10 @@ def _sweep_records(setup: MzSetup, states, v_max: float, n: int) -> list[Measure
         )
     if n < 64:
         raise ValueError(f"need at least 64 sweep samples, got {n}")
-    voltages = np.linspace(0.0, v_max, n)
-    matrices = device_matrix_batch(setup.loop, voltages)
-    return [_record(voltages, _intensities(setup, s, matrices) - setup.background) for s in states]
+    voltages = _sweep_grid(v_max, n)
+    corrected = _intensities(setup, states, voltages)
+    corrected -= setup.background
+    return [_record(voltages, row) for row in corrected]
 
 
 def sawtooth_sweep(setup: MzSetup, state, v_max: float, n: int) -> MeasurementRecord:
@@ -258,18 +271,12 @@ def switching_trace(
 
     The voltage waveform from the circuit simulation is mapped pointwise
     through the interferometer response, block by block as ``simulate``
-    walks it, so the temporaries stay the size of one block; the optical
-    switching time is the first 10-90 transition of the intensity (a rising
-    edge when the crystal discharges from the half-wave voltage toward the
-    bright fringe).
+    walks it; the optical switching time is the first 10-90 transition of
+    the intensity (a rising edge when the crystal discharges from the
+    half-wave voltage toward the bright fringe).
     """
     voltage = simulate(circuit, gates, t_end, dt, v_start=circuit.supply_voltage)
-    samples = np.empty(len(voltage.samples))
-    block = _circuit._BLOCK
-    for a in range(0, len(samples), block):
-        matrices = device_matrix_batch(setup.loop, voltage.samples[a : a + block])
-        samples[a : a + block] = _intensities(setup, state, matrices)
-    intensity = Waveform(voltage.t0, voltage.dt, samples)
+    intensity = Waveform(voltage.t0, voltage.dt, _intensities(setup, [state], voltage.samples)[0])
     # Direction of the first switching edge, judged over the first conduction
     # window (the later recharge swings the trace back the other way).
     window_end = _circuit._segments(circuit, gates)[3][0]
@@ -366,6 +373,8 @@ def fit_reference_imperfections(
     ratio = vis_45deg / gamma
     if ratio > 1.0:
         raise ValueError("45 degree visibility exceeds the 0/90 degree level; model cannot fit")
+    if not ratio >= 0.0:
+        raise ValueError(f"45 degree visibility must lie in [0, gamma = {gamma}], got {vis_45deg}")
     delta = 2.0 * math.acos(ratio)
     return gamma, delta
 
@@ -380,8 +389,8 @@ def table1_report(
 
     The headline device characterization: one record per input angle with
     fitted half-wave voltage, visibility, and contrast. Each record equals
-    ``sawtooth_sweep`` at that angle; the angles share one sweep grid and its
-    one batch of device matrices.
+    ``sawtooth_sweep`` at that angle; the angles share one sweep grid, and
+    each block of it goes through the loop once for all of them.
     """
     if v_max is None:
         v_half = half_wave_voltage(setup.loop.crystal)

@@ -25,8 +25,9 @@ which is what limits the repetition rate of the switch.
 Sample k of a waveform lies at time t0 + k * dt; the simulation and the edge
 finder address samples by that grid index and never build an array of times.
 Both walk the samples in fixed blocks that fit in a core's L2 cache:
-``simulate`` evaluates each segment block by block into the output, and the
-edge finder searches block by block and stops at the first crossing.
+``simulate`` evaluates each segment block by block into the output, then
+its end value, which starts the next segment, in one more call; the edge
+finder searches block by block and stops at the first crossing.
 """
 
 from __future__ import annotations
@@ -88,6 +89,13 @@ class DriveCircuit:
                 "the on-state voltage supply_voltage * mosfet_on_r / (mosfet_on_r + recharge_r) "
                 f"overflows at supply_voltage = {self.supply_voltage:g} V"
             )
+        for tau in (self.tau_recharge, self.tau_discharge):
+            if not (math.isfinite(tau) and tau > 0.0):
+                raise ValueError(
+                    "the time constants recharge_r * total_c and (mosfet_on_r || recharge_r) * "
+                    f"total_c must be finite and positive, got {self.tau_recharge:g} s and "
+                    f"{self.tau_discharge:g} s"
+                )
         if self.mosfet_on_r / self.recharge_r >= 0.01:
             raise ValueError(
                 "mosfet_on_r must be below 1% of recharge_r "
@@ -296,18 +304,12 @@ def simulate(
     for (start, evaluate), (end, _) in zip(segments, segments[1:] + [(math.inf, None)]):
         lo = bisect_left(grid, start, key=lambda k: k * dt)
         hi = bisect_left(grid, end, key=lambda k: k * dt)
-        # One call per block of samples [a, b), plus the sample after it; in
-        # the last block that is the segment's end value, which starts the
-        # next segment (unused after the last one, where end is inf). An empty
-        # segment still takes one call, for its end value.
-        for a in range(lo, max(hi, lo + 1), _BLOCK):
+        for a in range(lo, hi, _BLOCK):
             b = min(a + _BLOCK, hi)
-            u = np.arange(a, b + 1) * dt - start
-            if b == hi:
-                u[-1] = end - start
-            values = evaluate(v0, u)
-            samples[a:b] = values[:-1]
-        v0 = float(values[-1])
+            samples[a:b] = evaluate(v0, np.arange(a, b) * dt - start)
+        # The segment's end value starts the next one (unused after the last
+        # segment, where end is inf).
+        v0 = float(evaluate(v0, np.array([end - start]))[0])
     return Waveform(0.0, dt, samples)
 
 

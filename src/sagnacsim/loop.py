@@ -47,7 +47,14 @@ from .elements import (
     pbs_combine_ports,
     pbs_split,
 )
-from .polarization import H, V, _canonical_phases, _scaled_identity_infidelities
+from .polarization import (
+    H,
+    V,
+    _as_normalized_state,
+    _as_state,
+    _canonical_phases,
+    _scaled_identity_infidelities,
+)
 
 __all__ = [
     "LoopLayout",
@@ -180,14 +187,12 @@ def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.nda
     Port B is the exit port distinct from the input; for an ideal layout all
     light leaves there and the port A amplitude vanishes.
     """
-    return tuple(_evaluate(layout, drive_voltage) @ np.asarray(state, dtype=complex))
+    return tuple(_evaluate(layout, drive_voltage) @ _as_state(state))
 
 
 def trace(layout: LoopLayout, state, drive_voltage: float) -> np.ndarray:
     """State at the layout's output port for a normalized input state."""
-    norm2 = float(np.sum(np.abs(np.asarray(state, dtype=complex)) ** 2))
-    if abs(norm2 - 1.0) > 1e-6:
-        raise ValueError(f"trace expects a normalized input state, got norm^2 = {norm2}")
+    state = _as_normalized_state(state)
     return trace_ports(layout, state, drive_voltage)[_PORTS.index(layout.output_port)]
 
 

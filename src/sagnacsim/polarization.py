@@ -49,6 +49,17 @@ def _as_state(s) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.shape != (2,):
         raise ValueError(f"polarization state must have shape (2,), got {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError(f"polarization state must be finite, got {s}")
+    return s
+
+
+def _as_normalized_state(s) -> np.ndarray:
+    """``_as_state`` for an input that must carry unit power (to 1e-6)."""
+    s = _as_state(s)
+    norm2 = float(np.sum(np.abs(s) ** 2))
+    if abs(norm2 - 1.0) > 1e-6:
+        raise ValueError(f"expected a normalized input state, got norm^2 = {norm2}")
     return s
 
 

@@ -83,6 +83,11 @@ class TestMzSetup:
         with pytest.raises(ValueError, match="2x2"):
             MzSetup(loop=build_default_loop(crystal), ref_arm=np.eye(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ref_arm_must_be_finite(self, crystal, bad):
+        with pytest.raises(ValueError, match="ref_arm must be finite"):
+            MzSetup(loop=build_default_loop(crystal), ref_arm=np.full((2, 2), bad))
+
 
 class TestMeasurementRecord:
     def test_stores_only_the_extrema_and_the_fit(self):
@@ -140,6 +145,21 @@ class TestMzIntensity:
     def test_requires_normalized_input(self, ideal_setup):
         with pytest.raises(ValueError, match="normalized"):
             mz_intensity(ideal_setup, np.array([1.0, 1.0]), 0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda setup, s, v_half: mz_intensity(setup, s, 0.0),
+            lambda setup, s, v_half: sweep_curve(setup, s, 2 * v_half, 65),
+            lambda setup, s, v_half: sawtooth_sweep(setup, s, 2 * v_half, 65),
+            lambda setup, s, v_half: switching_trace(setup, s, *switch_parts(v_half), 12e-9, 10e-12),
+        ],
+        ids=["mz_intensity", "sweep_curve", "sawtooth_sweep", "switching_trace"],
+    )
+    def test_non_finite_state_rejected(self, ideal_setup, v_half, call):
+        # Without the check these return NaN or fail late on their NaN readings.
+        with pytest.raises(ValueError, match="state must be finite"):
+            call(ideal_setup, [math.nan, 0.0], v_half)
 
     def test_sweep_curve_matches_pointwise(self, ideal_setup, v_half):
         voltages, intensities = sweep_curve(ideal_setup, linear_state(0.3), 2 * v_half, 65)
@@ -214,6 +234,21 @@ class TestSawtoothSweep:
             sawtooth_sweep(ideal_setup, linear_state(0.0), 1.2 * v_half, 1001)
         with pytest.raises(ValueError, match="64"):
             sawtooth_sweep(ideal_setup, linear_state(0.0), 2 * v_half, 32)
+
+    @pytest.mark.parametrize("v_max", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda setup, v_max: sweep_curve(setup, linear_state(0.0), v_max, 65),
+            lambda setup, v_max: sawtooth_sweep(setup, linear_state(0.0), v_max, 65),
+            lambda setup, v_max: table1_report(setup, v_max=v_max, n=65),
+        ],
+        ids=["sweep_curve", "sawtooth_sweep", "table1_report"],
+    )
+    def test_non_finite_ceiling_rejected(self, ideal_setup, call, v_max):
+        # np.linspace would warn and fill the grid with NaN or infinity.
+        with pytest.raises(ValueError, match="v_max must be finite"):
+            call(ideal_setup, v_max)
 
 
 def loop_extrema_spacing(voltages, values):
@@ -343,10 +378,13 @@ class TestSwitchingTrace:
         circuit, gates = switch_parts(v_half)
         args = (setup, linear_state(0.6), circuit, gates, 12e-9, 10e-12)
         want = switching_trace(*args)
+        want_table = table1_report(setup)
         with mock.patch.object(circuit_module, "_BLOCK", block):
             got = switching_trace(*args)
+            got_table = table1_report(setup)
         assert np.array_equal(got.intensity.samples, want.intensity.samples)
         assert got.optical_10_90 == want.optical_10_90
+        assert got_table == want_table
 
     def test_memory_bounded_per_sample(self, ideal_setup, v_half):
         # The returned voltage and intensity take 16 B per sample; mapping the
@@ -463,6 +501,23 @@ class TestTable1Report:
         with pytest.raises(ValueError, match="64"):
             table1_report(ideal_setup, n=32)
 
+    def test_memory_bounded_per_sample(self):
+        # The sweep grid and the corrected readings take 32 B per sample at
+        # three angles; mapping the grid block by block keeps the loop's
+        # temporaries to one block.
+        setup = parse_config(
+            (Path(__file__).parents[1] / "demos" / "configs" / "fitted.ini").read_text()
+        ).mz_setup()
+        n = 10**6
+        table1_report(setup, n=n)
+        tracemalloc.start()
+        try:
+            table1_report(setup, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 100
+
     def test_imperfect_pattern(self, crystal):
         setup = diag_ref_setup(crystal, 0.956, math.radians(24.0))
         records = table1_report(setup)
@@ -484,6 +539,13 @@ class TestFitReferenceImperfections:
     def test_rejects_excess_45(self):
         with pytest.raises(ValueError, match="model"):
             fit_reference_imperfections(0.90, 0.95, 0.90)
+
+    @pytest.mark.parametrize("vis_45", [-0.5, math.nan])
+    def test_rejects_45_below_zero_or_nan(self, vis_45):
+        # acos would give delta = nan, or a delta whose gamma |cos(delta / 2)|
+        # does not reproduce a negative visibility.
+        with pytest.raises(ValueError, match=r"45 degree visibility must lie in \[0, gamma"):
+            fit_reference_imperfections(0.9, vis_45, 0.9)
 
     def test_rejects_zero_mode_overlap(self):
         with pytest.raises(ValueError, match="mode overlap out of range"):

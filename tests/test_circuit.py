@@ -47,18 +47,22 @@ class TestDriveCircuit:
             DriveCircuit(96.0, 20e3, -50e-12, 25.0, 400e-12)
 
     @pytest.mark.parametrize(
-        "args",
+        "args, message",
         [
-            (96.476, 20e3, 50e-12, 25.0, 1e-300),
-            (96.476, 20e3, 50e-12, 25.0, 1e-320),
-            (1.0, 1e302, 1e4, 1e299, 1e10),
+            ((96.476, 20e3, 50e-12, 25.0, 1e-300), r"gate_rise_time = \S+ s is too"),
+            ((96.476, 20e3, 50e-12, 25.0, 1e-320), r"gate_rise_time = \S+ s is too"),
+            ((1.0, 1e302, 1e4, 1e299, 1e10), r"gate_rise_time = \S+ s is too"),
+            ((1.0, 1e302, 1e10, 1e290, 1e-290), r"time constants recharge_r \* total_c"),
+            ((1.0, 1e-130, 1e100, 1e-200, 1.0), r"time constants recharge_r \* total_c"),
         ],
-        ids=["1e-300", "1e-320", "1e10"],
+        ids=["1e-300", "1e-320", "1e10", "tau_overflow", "tau_underflow"],
     )
-    def test_overflowing_ramp_rate_rejected(self, args):
+    def test_overflowing_ramp_rate_rejected(self, args, message):
         # 1 / (2 C R_on t_rise) overflows at 1e-300, divides by an underflowed
-        # 0 at 1e-320, and is 1 / inf = 0 when the product overflows.
-        with pytest.raises(ValueError, match=r"gate_rise_time = \S+ s is too"):
+        # 0 at 1e-320, and is 1 / inf = 0 when the product overflows. With a
+        # finite ramp rate, R * C can still overflow, and R_on * R underflow
+        # to a discharge time constant of 0.
+        with pytest.raises(ValueError, match=message):
             DriveCircuit(*args)
 
     @pytest.mark.parametrize("delay", [-1e-9, math.nan])

@@ -364,15 +364,28 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "line, bad_line, message",
+        "line, bad_line, message, command",
         [
-            ("gate_on = 2n", "gate_on = -1", "on_times must be non-negative"),
-            ("gate_rise_time = 400p", "gate_rise_time = 1e-300", "gate_rise_time = 1e-300 s is too short"),
+            ("gate_on = 2n", "gate_on = -1", "on_times must be non-negative", "transient"),
+            ("gate_rise_time = 400p", "gate_rise_time = 1e-300",
+             "gate_rise_time = 1e-300 s is too short", "transient"),
             # V_half is about 1.52e308 V, the default supply: supply * R_on overflows.
-            ("wavelength = 632.8n", "wavelength = 1e300", "on-state voltage"),
+            ("wavelength = 632.8n", "wavelength = 1e300", "on-state voltage", "transient"),
+            # R * C overflows: without the check, recovery writes 61 rows of 0.
+            ("R = 20k\nC = 50p\nmosfet_on_R = 23.5\ngate_rise_time = 400p",
+             "R = 1e302\nC = 1e10\nmosfet_on_R = 1e290\ngate_rise_time = 1e-290",
+             "time constants recharge_r * total_c", "recovery"),
+        ],
+        ids=[
+            "gate_on = 2n-gate_on = -1-on_times must be non-negative",
+            "gate_rise_time = 400p-gate_rise_time = 1e-300-gate_rise_time = 1e-300 s is too short",
+            "wavelength = 632.8n-wavelength = 1e300-on-state voltage",
+            "recovery-time constants overflow",
         ],
     )
-    def test_bad_driver_value_exit_3_without_warnings(self, tmp_path, capsys, line, bad_line, message):
+    def test_bad_driver_value_exit_3_without_warnings(
+        self, tmp_path, capsys, line, bad_line, message, command
+    ):
         text = (ROOT / "demos/configs/fitted.ini").read_text()
         assert line in text
         bad = tmp_path / "bad.ini"
@@ -380,7 +393,7 @@ class TestCli:
         out = tmp_path / "o.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["transient", "--config", str(bad), "--out", str(out)]) == 3
+            assert main([command, "--config", str(bad), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert message in err
         assert "RuntimeWarning" not in err

@@ -299,6 +299,13 @@ class TestNonFiniteVoltage:
         with pytest.raises(ValueError, match="finite"):
             call(ideal, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [trace, trace_ports])
+    def test_every_entry_point_rejects_a_non_finite_state(self, ideal, call, bad):
+        # Without the check both return NaN: abs(nan - 1) > 1e-6 is False.
+        with pytest.raises(ValueError, match="state must be finite"):
+            call(ideal, [bad, 0.0], 0.0)
+
     @pytest.mark.parametrize("call", [device_matrix_batch, independence_scan])
     def test_finite_voltage_whose_phase_overflows(self, call):
         # pi * 1e308 / V_half overflows; it must raise, not warn and return NaN.

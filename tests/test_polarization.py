@@ -79,6 +79,7 @@ class TestApplyCompose:
         "call, message",
         [
             (lambda: apply(I2, np.ones(3)), "state must have shape"),
+            (lambda: apply(I2, [math.nan, 0.0]), "state must be finite"),
             (lambda: compose(np.eye(3), I2), "transform must have shape"),
         ],
     )
