@@ -35,9 +35,9 @@ import numpy as np
 
 from . import circuit as _circuit
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
-from .elements import half_wave_voltage
+from .elements import CrystalSpec, half_wave_voltage
 from .loop import LoopLayout, device_matrix_batch
-from .polarization import _as_normalized_state, _as_state, linear_state
+from .polarization import _as_normalized_state, _as_state, _power, linear_state
 
 __all__ = [
     "InfiniteContrastError",
@@ -129,6 +129,8 @@ def _intensities(setup: MzSetup, states, voltages) -> np.ndarray:
     (len(states), len(voltages)). The voltages go through the loop in the
     driver's blocks, and each block's device matrices serve every state."""
     states = [_as_state(s) for s in states]
+    for s in states:
+        _power(s)  # refuses a power past the float range, which reads as NaN
     refs = [math.sqrt(setup.arm_imbalance) * (setup.ref_arm @ s) for s in states]
     gamma = setup.mode_overlap
     out = np.empty((len(states), len(voltages)))
@@ -150,16 +152,22 @@ def mz_intensity(setup: MzSetup, state, drive_voltage: float) -> float:
     return float(_intensities(setup, [_as_normalized_state(state)], [drive_voltage])[0, 0])
 
 
-def _sweep_grid(v_max: float, n: int) -> np.ndarray:
-    """The n voltages of a linear 0..v_max sweep."""
+def _sweep_ceiling(crystal: CrystalSpec, v_max: float | None) -> float:
+    """The top of a 0..v_max sweep: v_max, or 2 * V_half of the crystal when
+    v_max is None. Refuses a ceiling that is not finite."""
+    if v_max is None:
+        v_half = half_wave_voltage(crystal)
+        v_max = 2.0 * v_half
+        if not math.isfinite(v_max):
+            raise ValueError(f"the default sweep ceiling 2 * V_half overflows at V_half = {v_half:g} V")
     if not math.isfinite(v_max):
         raise ValueError(f"sweep ceiling v_max must be finite, got {v_max}")
-    return np.linspace(0.0, v_max, n)
+    return v_max
 
 
-def sweep_curve(setup: MzSetup, state, v_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def sweep_curve(setup: MzSetup, state, v_max: float | None, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw fringe curve of a linear 0..v_max sweep: (voltages, intensities)."""
-    voltages = _sweep_grid(v_max, n)
+    voltages = np.linspace(0.0, _sweep_ceiling(setup.loop.crystal, v_max), n)
     return voltages, _intensities(setup, [state], voltages)[0]
 
 
@@ -192,8 +200,9 @@ def _record(voltages: np.ndarray, corrected: np.ndarray) -> MeasurementRecord:
     return MeasurementRecord(i_on, i_off, _extrema_spacing(voltages, corrected))
 
 
-def _sweep_records(setup: MzSetup, states, v_max: float, n: int) -> list[MeasurementRecord]:
+def _sweep_records(setup: MzSetup, states, v_max: float | None, n: int) -> list[MeasurementRecord]:
     """One record per input state, all read from one 0..v_max sweep grid."""
+    v_max = _sweep_ceiling(setup.loop.crystal, v_max)
     nominal = half_wave_voltage(setup.loop.crystal)
     if v_max < 1.5 * nominal:
         raise ValueError(
@@ -201,19 +210,19 @@ def _sweep_records(setup: MzSetup, states, v_max: float, n: int) -> list[Measure
         )
     if n < 64:
         raise ValueError(f"need at least 64 sweep samples, got {n}")
-    voltages = _sweep_grid(v_max, n)
+    voltages = np.linspace(0.0, v_max, n)
     corrected = _intensities(setup, states, voltages)
     corrected -= setup.background
     return [_record(voltages, row) for row in corrected]
 
 
-def sawtooth_sweep(setup: MzSetup, state, v_max: float, n: int) -> MeasurementRecord:
+def sawtooth_sweep(setup: MzSetup, state, v_max: float | None, n: int) -> MeasurementRecord:
     """Fringe measurement from a linear 0..v_max voltage sweep.
 
-    Requires v_max >= 1.5x the crystal's nominal half-wave voltage and
-    n >= 64 samples so both fringe extrema are contained. The background is
-    subtracted before computing visibility; v_half_fit is the voltage
-    spacing between adjacent extrema.
+    Requires v_max >= 1.5x the crystal's nominal half-wave voltage (None
+    sweeps to 2x) and n >= 64 samples so both fringe extrema are contained.
+    The background is subtracted before computing visibility; v_half_fit is
+    the voltage spacing between adjacent extrema.
     """
     return _sweep_records(setup, [state], v_max, n)[0]
 
@@ -392,9 +401,4 @@ def table1_report(
     ``sawtooth_sweep`` at that angle; the angles share one sweep grid, and
     each block of it goes through the loop once for all of them.
     """
-    if v_max is None:
-        v_half = half_wave_voltage(setup.loop.crystal)
-        v_max = 2.0 * v_half
-        if not math.isfinite(v_max):
-            raise ValueError(f"the default sweep ceiling 2 * V_half overflows at V_half = {v_half:g} V")
     return _sweep_records(setup, [linear_state(a) for a in input_angles], v_max, n)

@@ -20,11 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import bench as _bench
 from .bench import insertion_loss, switching_trace, table1_report
 from .circuit import GateSchedule, recovery_fraction
 from .config import ConfigError, SceneConfig, parse_config, parse_number
 from .elements import half_wave_voltage
-from .loop import device_matrix_batch, independence_scan
+from .loop import LoopLayout, device_matrix_batch, independence_scan
 from .polarization import linear_state
 
 def _number(text: str) -> float:
@@ -58,13 +59,8 @@ def _resolve(cfg: SceneConfig, args: argparse.Namespace) -> SceneConfig:
     return replace(cfg, trace=replace(cfg.trace, **trace))
 
 
-def _scan_voltages(cfg: SceneConfig) -> np.ndarray:
-    v_max = cfg.scan.v_max
-    if v_max is None:
-        v_half = half_wave_voltage(cfg.crystal_spec())
-        v_max = 2.0 * v_half
-        if not math.isfinite(v_max):
-            raise ValueError(f"the default scan ceiling 2 * V_half overflows at V_half = {v_half:g} V")
+def _scan_voltages(cfg: SceneConfig, layout: LoopLayout) -> np.ndarray:
+    v_max = _bench._sweep_ceiling(layout.crystal, cfg.scan.v_max)
     return np.linspace(0.0, v_max, cfg.scan.samples)
 
 
@@ -74,7 +70,7 @@ _Report = tuple[Sequence[str], Sequence[Sequence[float]], str]
 
 def _run_device_matrix(cfg: SceneConfig) -> _Report:
     layout = cfg.loop_layout()
-    voltages = _scan_voltages(cfg)
+    voltages = _scan_voltages(cfg, layout)
     matrices = device_matrix_batch(layout, voltages)
     rows = np.column_stack([voltages, matrices.reshape(-1, 4).view(float)])
     header = ["voltage_V", "m00_re", "m00_im", "m01_re", "m01_im",
@@ -84,7 +80,8 @@ def _run_device_matrix(cfg: SceneConfig) -> _Report:
 
 
 def _run_independence_scan(cfg: SceneConfig) -> _Report:
-    points = independence_scan(cfg.loop_layout(), _scan_voltages(cfg))
+    layout = cfg.loop_layout()
+    points = independence_scan(layout, _scan_voltages(cfg, layout))
     worst = max(p.infidelity for p in points)
     header = ["voltage_V", "phase_rad_unwrapped", "infidelity", "portA_power"]
     return header, points, f"independence-scan: {len(points)} voltages, max_infidelity={worst:.3e}"

@@ -295,9 +295,7 @@ def parse_config(text: str) -> SceneConfig:
 def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (int,)):
+    if isinstance(value, (int, float)):
         return repr(float(value))
     return str(value)
 

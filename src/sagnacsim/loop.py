@@ -109,10 +109,6 @@ class LoopLayout:
     def eom(self) -> Eom:
         return next(e for e in self.cw_path if isinstance(e, Eom))
 
-    @property
-    def eom_index(self) -> int:
-        return next(i for i, e in enumerate(self.cw_path) if isinstance(e, Eom))
-
 
 def build_default_loop(
     crystal: CrystalSpec,

@@ -54,10 +54,40 @@ def _as_state(s) -> np.ndarray:
     return s
 
 
+def _norm(s: np.ndarray) -> float:
+    """Euclidean norm of a state. No part is squared on the way, so it
+    overflows or underflows only where the norm itself does."""
+    return math.hypot(s[0].real, s[0].imag, s[1].real, s[1].imag)
+
+
+def _power(s: np.ndarray) -> float:
+    """Power |s_0|^2 + |s_1|^2 of a state; refuses one past the float range."""
+    norm = _norm(s)
+    power = norm * norm
+    if power == math.inf:
+        raise ValueError(f"polarization state power overflows a float, got norm {norm:g}")
+    return power
+
+
+def _largest_part(x: np.ndarray) -> float:
+    """Largest |real| or |imaginary| part of the entries: a finite scale of a
+    finite array, found without squaring anything."""
+    return float(max(np.max(np.abs(x.real)), np.max(np.abs(x.imag))))
+
+
+def _rescaled(x: np.ndarray) -> np.ndarray:
+    """x over its largest part, so no part exceeds 1 (x itself if all are 0).
+    Each part is divided on its own: numpy divides a complex array by the
+    reciprocal of a real divisor, which overflows for a subnormal one."""
+    top = _largest_part(x)
+    return x.real / top + 1j * (x.imag / top) if top else x
+
+
 def _as_normalized_state(s) -> np.ndarray:
     """``_as_state`` for an input that must carry unit power (to 1e-6)."""
     s = _as_state(s)
-    norm2 = float(np.sum(np.abs(s) ** 2))
+    norm = _norm(s)
+    norm2 = norm * norm
     if abs(norm2 - 1.0) > 1e-6:
         raise ValueError(f"expected a normalized input state, got norm^2 = {norm2}")
     return s
@@ -67,6 +97,8 @@ def _as_transform(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"polarization transform must have shape (2, 2), got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"polarization transform must be finite, got {m.tolist()}")
     return m
 
 
@@ -80,8 +112,8 @@ def normalize(s) -> np.ndarray:
 
     Raises ValueError for the zero state, which has no direction.
     """
-    s = _as_state(s)
-    norm = float(np.linalg.norm(s))
+    s = _rescaled(_as_state(s))  # a state near the float limit has a norm past it
+    norm = _norm(s)
     if norm == 0.0:
         raise ValueError("unnormalizable: zero polarization state")
     return s / norm
@@ -103,10 +135,17 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _unitarity_deviation(m: np.ndarray) -> float:
+    """Largest entry of |M^dagger M - I|. A part past 1e150 puts it past
+    1e300; that answer is inf, without squaring the matrix."""
+    if _largest_part(m) > 1e150:
+        return math.inf
+    return float(np.max(np.abs(m.conj().T @ m - _IDENTITY)))
+
+
 def is_unitary(m, tol: float = 1e-12) -> bool:
     """Max-entry check of M^dagger M = I."""
-    m = _as_transform(m)
-    return bool(np.max(np.abs(m.conj().T @ m - _IDENTITY)) < tol)
+    return bool(_unitarity_deviation(_as_transform(m)) < tol)
 
 
 class PhaseDecomposition(NamedTuple):
@@ -160,7 +199,7 @@ def identity_infidelity(m) -> float:
     transforms must go through ``scaled_identity_infidelity`` instead.
     """
     m = _as_transform(m)
-    dev = float(np.max(np.abs(m.conj().T @ m - _IDENTITY)))
+    dev = _unitarity_deviation(m)
     if dev >= 1e-9:
         raise ValueError(
             f"identity_infidelity requires a lossless transform (unitarity deviation {dev:.3e})"
@@ -187,20 +226,23 @@ def scaled_identity_infidelity(m) -> float:
     proportional to the identity. Used for lossy device matrices, where a
     common amplitude loss should not count as polarization dependence.
     """
-    return float(_scaled_identity_infidelities(_as_transform(m)[None])[0])
+    # The metric is scale-invariant, and rescaling keeps ||m||_F in range.
+    return float(_scaled_identity_infidelities(_rescaled(_as_transform(m))[None])[0])
 
 
 def stokes(s) -> tuple[float, float, float, float]:
     """Stokes parameters (S0, S1, S2, S3) of a pure state.
 
     S0 = |a|^2 + |b|^2, S1 = |a|^2 - |b|^2, S2 = 2 Re(a* b), S3 = 2 Im(a* b);
-    pure states satisfy S1^2 + S2^2 + S3^2 = S0^2.
+    pure states satisfy S1^2 + S2^2 + S3^2 = S0^2. Raises ValueError for a
+    state whose power S0 overflows a float.
     """
     s = _as_state(s)
+    power = _power(s)
     a, b = s[0], s[1]
     cross = a.conjugate() * b
     return (
-        float(abs(a) ** 2 + abs(b) ** 2),
+        power,
         float(abs(a) ** 2 - abs(b) ** 2),
         float(2.0 * cross.real),
         float(2.0 * cross.imag),

@@ -145,6 +145,8 @@ class TestMzIntensity:
     def test_requires_normalized_input(self, ideal_setup):
         with pytest.raises(ValueError, match="normalized"):
             mz_intensity(ideal_setup, np.array([1.0, 1.0]), 0.0)
+        with pytest.raises(ValueError, match="normalized"):
+            mz_intensity(ideal_setup, np.array([1e200, 0.0]), 0.0)  # its power overflows
 
     @pytest.mark.parametrize(
         "call",
@@ -161,11 +163,20 @@ class TestMzIntensity:
         with pytest.raises(ValueError, match="state must be finite"):
             call(ideal_setup, [math.nan, 0.0], v_half)
 
+    def test_overflowing_state_power_rejected(self, ideal_setup, v_half):
+        # A raw state is finite, but its power is not: the readings were NaN.
+        with pytest.raises(ValueError, match="power overflows"):
+            sweep_curve(ideal_setup, [1e200, 0.0], 2 * v_half, 65)
+
     def test_sweep_curve_matches_pointwise(self, ideal_setup, v_half):
         voltages, intensities = sweep_curve(ideal_setup, linear_state(0.3), 2 * v_half, 65)
         assert len(voltages) == len(intensities) == 65
         for v, i in zip(voltages[::16], intensities[::16]):
             assert i == pytest.approx(mz_intensity(ideal_setup, linear_state(0.3), v), abs=1e-12)
+        # No ceiling sweeps to 2 * V_half, the same grid as the explicit one.
+        default = sweep_curve(ideal_setup, linear_state(0.3), None, 65)
+        np.testing.assert_array_equal(default[0], voltages)
+        np.testing.assert_array_equal(default[1], intensities)
 
 
 class TestSawtoothSweep:

@@ -402,8 +402,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, message",
         [
-            ("device-matrix", "default scan ceiling 2 * V_half overflows"),
-            ("independence-scan", "default scan ceiling 2 * V_half overflows"),
+            ("device-matrix", "default sweep ceiling 2 * V_half overflows"),
+            ("independence-scan", "default sweep ceiling 2 * V_half overflows"),
             ("table1", "default sweep ceiling 2 * V_half overflows"),
         ],
     )

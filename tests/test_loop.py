@@ -58,7 +58,7 @@ def ideal(crystal):
 class TestBuildDefaultLoop:
     def test_shape(self, ideal):
         assert len(ideal.cw_path) == 5
-        assert ideal.eom_index == 2
+        assert ideal.cw_path[2] is ideal.eom
 
     def test_zero_faraday_angle_still_builds(self, crystal):
         layout = build_default_loop(crystal, fr_angle=0.0)
@@ -160,6 +160,8 @@ class TestTrace:
     def test_requires_normalized_input(self, ideal):
         with pytest.raises(ValueError, match="normalized"):
             trace(ideal, np.array([2.0, 0.0]), 0.0)
+        with pytest.raises(ValueError, match="normalized"):
+            trace(ideal, np.array([1e200, 0.0]), 0.0)  # its power overflows
 
     def test_linearity(self, ideal, v_half):
         rng = np.random.default_rng(102)

@@ -29,7 +29,9 @@ class TestNormalize:
         np.testing.assert_allclose(normalize([1, 0]), [1, 0], atol=1e-15)
 
     def test_three_four_five(self):
-        np.testing.assert_allclose(normalize([3, 4j]), [0.6, 0.8j], atol=1e-15)
+        # Scaled past where the squares overflow or underflow a float.
+        for scale in (1.0, 1e200, 1e-200):
+            np.testing.assert_allclose(normalize([3 * scale, 4j * scale]), [0.6, 0.8j], atol=1e-15)
 
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError, match="unnormalizable"):
@@ -81,11 +83,31 @@ class TestApplyCompose:
             (lambda: apply(I2, np.ones(3)), "state must have shape"),
             (lambda: apply(I2, [math.nan, 0.0]), "state must be finite"),
             (lambda: compose(np.eye(3), I2), "transform must have shape"),
+            (lambda: stokes([1e200, 0.0]), "power overflows"),
         ],
     )
     def test_shape_errors(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            global_phase_decompose,
+            identity_infidelity,
+            scaled_identity_infidelity,
+            is_unitary,
+            lambda m: apply(m, H),
+            lambda m: compose(I2, m),
+        ],
+        ids=["global_phase_decompose", "identity_infidelity", "scaled_identity_infidelity",
+             "is_unitary", "apply", "compose"],
+    )
+    def test_non_finite_transform_rejected(self, call, bad):
+        # Without the check these return NaN, or False with a numpy warning.
+        with pytest.raises(ValueError, match="transform must be finite"):
+            call(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_apply_respects_compose(self):
         rng = np.random.default_rng(42)
@@ -156,6 +178,10 @@ class TestIdentityInfidelity:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="lossless"):
             identity_infidelity(np.diag([1.0, 0.5]))
+        # M^dagger M of this one overflows a float; it is never squared.
+        with pytest.raises(ValueError, match="lossless"):
+            identity_infidelity(1e200 * I2)
+        assert not is_unitary(1e200 * I2)
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(5)
@@ -175,7 +201,8 @@ class TestIdentityInfidelity:
             )
 
     def test_scaled_variant_ignores_common_loss(self):
-        assert scaled_identity_infidelity(0.3 * np.exp(0.7j) * I2) == pytest.approx(0.0, abs=1e-15)
+        for scale in (0.3, 1e200, 1e-320):  # ||m||_F^2 overflows at 1e200, underflows at 1e-320
+            assert scaled_identity_infidelity(scale * np.exp(0.7j) * I2) == pytest.approx(0.0, abs=1e-15)
         assert scaled_identity_infidelity(np.diag([1.0, 0.5])) > 0.01
 
     def test_scaled_variant_rejects_zero_matrix(self):
