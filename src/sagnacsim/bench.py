@@ -37,7 +37,7 @@ from . import circuit as _circuit
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
 from .elements import CrystalSpec, half_wave_voltage
 from .loop import LoopLayout, device_matrix_batch
-from .polarization import _as_normalized_state, _as_state, _power, linear_state
+from .polarization import _as_normalized_state, _as_state, linear_state
 
 __all__ = [
     "InfiniteContrastError",
@@ -127,23 +127,25 @@ class MeasurementRecord:
 def _intensities(setup: MzSetup, states, voltages) -> np.ndarray:
     """Detected power of each input state at each drive voltage, shape
     (len(states), len(voltages)). The voltages go through the loop in the
-    driver's blocks, and each block's device matrices serve every state."""
-    states = [_as_state(s) for s in states]
-    for s in states:
-        _power(s)  # refuses a power past the float range, which reads as NaN
-    refs = [math.sqrt(setup.arm_imbalance) * (setup.ref_arm @ s) for s in states]
+    driver's blocks, and each block's device matrices act on all the states
+    at once; a reading that overflows a float is refused."""
+    rows = np.array([_as_state(s) for s in states], dtype=complex).reshape(-1, 2)
+    # A stack of matrix-vector products rounds as ref_arm @ s does for each s;
+    # one matrix-matrix product would not.
+    refs = math.sqrt(setup.arm_imbalance) * (setup.ref_arm @ rows[..., None]).reshape(-1, 1, 2)
     gamma = setup.mode_overlap
-    out = np.empty((len(states), len(voltages)))
+    out = np.empty((len(rows), len(voltages)))
     block = _circuit._BLOCK
-    for a in range(0, len(voltages), block):
-        matrices = device_matrix_batch(setup.loop, voltages[a : a + block])
-        for row, s, ref in zip(out, states, refs):
-            dev = np.einsum("vij,j->vi", matrices, s)
-            coherent = 0.25 * np.sum(np.abs(dev + gamma * ref) ** 2, axis=1)
-            incoherent = 0.125 * (1.0 - gamma**2) * (
-                np.sum(np.abs(dev) ** 2, axis=1) + float(np.sum(np.abs(ref) ** 2))
-            )
-            row[a : a + block] = setup.background + coherent + incoherent
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_power = np.sum(np.abs(refs) ** 2, axis=2)
+        for a in range(0, len(voltages), block):
+            matrices = device_matrix_batch(setup.loop, voltages[a : a + block])
+            dev = np.einsum("vij,kj->kvi", matrices, rows)
+            coherent = 0.25 * np.sum(np.abs(dev + gamma * refs) ** 2, axis=2)
+            incoherent = 0.125 * (1.0 - gamma**2) * (np.sum(np.abs(dev) ** 2, axis=2) + ref_power)
+            out[:, a : a + block] = setup.background + coherent + incoherent
+    if not np.all(np.isfinite(out)):
+        raise ValueError("detected power overflows a float: input state or reference arm too strong")
     return out
 
 
@@ -165,9 +167,17 @@ def _sweep_ceiling(crystal: CrystalSpec, v_max: float | None) -> float:
     return v_max
 
 
+def _sweep_grid(v_max: float, n: int) -> np.ndarray:
+    """The n voltages 0..v_max of a sweep. Refuses more samples than the
+    driver's grid cap before anything is allocated."""
+    if n > _circuit._MAX_SAMPLES:
+        raise ValueError(f"n = {n} exceeds {_circuit._MAX_SAMPLES:g} samples; refusing to allocate the sweep")
+    return np.linspace(0.0, v_max, n)
+
+
 def sweep_curve(setup: MzSetup, state, v_max: float | None, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Raw fringe curve of a linear 0..v_max sweep: (voltages, intensities)."""
-    voltages = np.linspace(0.0, _sweep_ceiling(setup.loop.crystal, v_max), n)
+    voltages = _sweep_grid(_sweep_ceiling(setup.loop.crystal, v_max), n)
     return voltages, _intensities(setup, [state], voltages)[0]
 
 
@@ -210,7 +220,7 @@ def _sweep_records(setup: MzSetup, states, v_max: float | None, n: int) -> list[
         )
     if n < 64:
         raise ValueError(f"need at least 64 sweep samples, got {n}")
-    voltages = np.linspace(0.0, v_max, n)
+    voltages = _sweep_grid(v_max, n)
     corrected = _intensities(setup, states, voltages)
     corrected -= setup.background
     return [_record(voltages, row) for row in corrected]

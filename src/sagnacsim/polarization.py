@@ -60,15 +60,6 @@ def _norm(s: np.ndarray) -> float:
     return math.hypot(s[0].real, s[0].imag, s[1].real, s[1].imag)
 
 
-def _power(s: np.ndarray) -> float:
-    """Power |s_0|^2 + |s_1|^2 of a state; refuses one past the float range."""
-    norm = _norm(s)
-    power = norm * norm
-    if power == math.inf:
-        raise ValueError(f"polarization state power overflows a float, got norm {norm:g}")
-    return power
-
-
 def _largest_part(x: np.ndarray) -> float:
     """Largest |real| or |imaginary| part of the entries: a finite scale of a
     finite array, found without squaring anything."""
@@ -181,13 +172,17 @@ def global_phase_decompose(m) -> PhaseDecomposition:
     """Split a transform into a global phase and a canonical residual.
 
     For m = e^{i phi} * I this returns (phi wrapped to (-pi, pi], I).
-    Raises ValueError for the zero matrix, which carries no phase.
+    Raises ValueError for the zero matrix, which carries no phase, and for a
+    matrix whose largest entry's modulus overflows a float.
     """
     m = _as_transform(m)
     phases, pivot_index = _canonical_phases(m[None])
     phase, k = float(phases[0]), int(pivot_index[0])
+    pivot = abs(m.flat[k])
+    if pivot == math.inf:
+        raise ValueError(f"cannot decompose: the pivot's modulus overflows a float, got {m.flat[k]}")
     residual = m * cmath.exp(-1j * phase)
-    residual.flat[k] = abs(m.flat[k])  # force exact canonical pivot
+    residual.flat[k] = pivot  # force exact canonical pivot
     return PhaseDecomposition(phase, residual)
 
 
@@ -238,7 +233,10 @@ def stokes(s) -> tuple[float, float, float, float]:
     state whose power S0 overflows a float.
     """
     s = _as_state(s)
-    power = _power(s)
+    norm = _norm(s)
+    power = norm * norm
+    if power == math.inf:
+        raise ValueError(f"polarization state power overflows a float, got norm {norm:g}")
     a, b = s[0], s[1]
     cross = a.conjugate() * b
     return (

@@ -167,6 +167,12 @@ class TestMzIntensity:
         # A raw state is finite, but its power is not: the readings were NaN.
         with pytest.raises(ValueError, match="power overflows"):
             sweep_curve(ideal_setup, [1e200, 0.0], 2 * v_half, 65)
+        # Finite state powers whose readings overflow: through the interference
+        # sum, and through a strong reference arm. These read NaN with a warning.
+        with pytest.raises(ValueError, match="power overflows"):
+            sweep_curve(ideal_setup, [1e154, 0.0], 2 * v_half, 65)
+        with pytest.raises(ValueError, match="power overflows"):
+            sweep_curve(replace(ideal_setup, arm_imbalance=1e12), [1e150, 0.0], 2 * v_half, 65)
 
     def test_sweep_curve_matches_pointwise(self, ideal_setup, v_half):
         voltages, intensities = sweep_curve(ideal_setup, linear_state(0.3), 2 * v_half, 65)
@@ -260,6 +266,23 @@ class TestSawtoothSweep:
         # np.linspace would warn and fill the grid with NaN or infinity.
         with pytest.raises(ValueError, match="v_max must be finite"):
             call(ideal_setup, v_max)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda setup, n: sweep_curve(setup, linear_state(0.0), None, n),
+            lambda setup, n: sawtooth_sweep(setup, linear_state(0.0), None, n),
+            lambda setup, n: table1_report(setup, n=n),
+        ],
+        ids=["sweep_curve", "sawtooth_sweep", "table1_report"],
+    )
+    def test_grid_cap_boundary(self, ideal_setup, call):
+        # The sweeps share the driver's grid cap; past it, no grid is allocated.
+        with mock.patch.object(circuit_module, "_MAX_SAMPLES", 100):
+            call(ideal_setup, 100)
+            with mock.patch.object(np, "linspace", side_effect=AssertionError("grid allocated")):
+                with pytest.raises(ValueError, match="allocate"):
+                    call(ideal_setup, 101)
 
 
 def loop_extrema_spacing(voltages, values):
@@ -501,10 +524,16 @@ class TestTable1Report:
             MzSetup(loop=build_default_loop(crystal)),
             diag_ref_setup(crystal, 0.93, math.radians(24.0), background=0.02),
             MzSetup(build_default_loop(crystal, fr_angle=math.radians(41.0)), arm_imbalance=0.7),
+            # A reference arm that mixes H and V: a matrix-matrix product over
+            # the stacked states rounds unlike ref_arm @ s for one state.
+            MzSetup(build_default_loop(crystal), ref_arm=[[0.9, 0.3j], [0.2, 0.8 * np.exp(0.4j)]]),
         ):
             sweep_max = 2.0 * v_half if v_max is None else v_max
             want = [sawtooth_sweep(setup, linear_state(a), sweep_max, n) for a in angles]
             assert table1_report(setup, angles, v_max, n) == want
+
+    def test_no_angles_give_no_records(self, ideal_setup):
+        assert table1_report(ideal_setup, []) == []
 
     def test_range_preconditions(self, ideal_setup, v_half):
         with pytest.raises(ValueError, match="sweep range"):

@@ -505,15 +505,21 @@ class TestCli:
 def test_cli_commands_do_not_import_scipy(tmp_path):
     # scipy is a test dependency only; importing it would cost every cold
     # command far more than its own work. numpy.ma, which np.median loads,
-    # would cost table1 about 9 ms.
+    # would cost table1 about 9 ms. Beyond that, the commands run on the
+    # standard library and numpy alone; the modules loaded at start-up (site
+    # may preload installed packages) are left out of that count.
     code = (
         "import sys\n"
+        "start_up = set(sys.modules)\n"
         "from sagnacsim.cli import main\n"
         f"for command in {_COMMANDS!r}:\n"
         f"    assert main([command, '--config', {str(ROOT / 'demos/configs/fitted.ini')!r},"
         f" '--out', {str(tmp_path / 'out.csv')!r}]) == 0, command\n"
         "assert 'scipy' not in sys.modules\n"
         "assert 'numpy.ma' not in sys.modules\n"
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - start_up}\n"
+        "foreign = tops - set(sys.stdlib_module_names) - {'numpy', 'sagnacsim'}\n"
+        "assert not foreign, sorted(foreign)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(

@@ -141,6 +141,14 @@ class TestGlobalPhaseDecompose:
         with pytest.raises(ValueError):
             global_phase_decompose(np.zeros((2, 2)))
 
+    def test_overflowing_pivot_rejected(self):
+        # The residual's pivot |m_00| is past the float range; it was inf.
+        with pytest.raises(ValueError, match="overflows"):
+            global_phase_decompose(np.array([[1.7e308 + 1.7e308j, 0.0], [0.0, 1.0]]))
+        phase, residual = global_phase_decompose(np.array([[1e308 + 1e308j, 0.0], [0.0, 1.0]]))
+        assert phase == pytest.approx(math.pi / 4)
+        assert residual[0, 0] == abs(1e308 + 1e308j)
+
     def test_phase_range_boundary(self):
         phase, _ = global_phase_decompose(-I2)
         assert phase == pytest.approx(math.pi)
