@@ -37,7 +37,7 @@ from . import circuit as _circuit
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
 from .elements import CrystalSpec, half_wave_voltage
 from .loop import LoopLayout, device_matrix_batch
-from .polarization import _as_normalized_state, _as_state, linear_state
+from .polarization import _as_state, linear_state
 
 __all__ = [
     "InfiniteContrastError",
@@ -48,12 +48,9 @@ __all__ = [
     "fit_mosfet_on_r",
     "fit_reference_imperfections",
     "insertion_loss",
-    "mz_intensity",
-    "sawtooth_sweep",
     "sweep_curve",
     "switching_trace",
     "table1_report",
-    "visibility_from_contrast",
 ]
 
 
@@ -149,11 +146,6 @@ def _intensities(setup: MzSetup, states, voltages) -> np.ndarray:
     return out
 
 
-def mz_intensity(setup: MzSetup, state, drive_voltage: float) -> float:
-    """Detected power for a normalized input at one drive voltage."""
-    return float(_intensities(setup, [_as_normalized_state(state)], [drive_voltage])[0, 0])
-
-
 def _sweep_ceiling(crystal: CrystalSpec, v_max: float | None) -> float:
     """The top of a 0..v_max sweep: v_max, or 2 * V_half of the crystal when
     v_max is None. Refuses a ceiling that is not finite."""
@@ -168,8 +160,11 @@ def _sweep_ceiling(crystal: CrystalSpec, v_max: float | None) -> float:
 
 
 def _sweep_grid(v_max: float, n: int) -> np.ndarray:
-    """The n voltages 0..v_max of a sweep. Refuses more samples than the
-    driver's grid cap before anything is allocated."""
+    """The n voltages 0..v_max of a sweep. Refuses an n that is not a
+    non-negative integer, or more samples than the driver's grid cap, before
+    anything is allocated."""
+    if isinstance(n, bool) or not hasattr(n, "__index__") or n < 0:
+        raise ValueError(f"the sample count n must be a non-negative integer, got {n!r}")
     if n > _circuit._MAX_SAMPLES:
         raise ValueError(f"n = {n} exceeds {_circuit._MAX_SAMPLES:g} samples; refusing to allocate the sweep")
     return np.linspace(0.0, v_max, n)
@@ -210,33 +205,6 @@ def _record(voltages: np.ndarray, corrected: np.ndarray) -> MeasurementRecord:
     return MeasurementRecord(i_on, i_off, _extrema_spacing(voltages, corrected))
 
 
-def _sweep_records(setup: MzSetup, states, v_max: float | None, n: int) -> list[MeasurementRecord]:
-    """One record per input state, all read from one 0..v_max sweep grid."""
-    v_max = _sweep_ceiling(setup.loop.crystal, v_max)
-    nominal = half_wave_voltage(setup.loop.crystal)
-    if v_max < 1.5 * nominal:
-        raise ValueError(
-            f"sweep range {v_max:g} V too short; need at least 1.5 * V_half = {1.5 * nominal:g} V"
-        )
-    if n < 64:
-        raise ValueError(f"need at least 64 sweep samples, got {n}")
-    voltages = _sweep_grid(v_max, n)
-    corrected = _intensities(setup, states, voltages)
-    corrected -= setup.background
-    return [_record(voltages, row) for row in corrected]
-
-
-def sawtooth_sweep(setup: MzSetup, state, v_max: float | None, n: int) -> MeasurementRecord:
-    """Fringe measurement from a linear 0..v_max voltage sweep.
-
-    Requires v_max >= 1.5x the crystal's nominal half-wave voltage (None
-    sweeps to 2x) and n >= 64 samples so both fringe extrema are contained.
-    The background is subtracted before computing visibility; v_half_fit is
-    the voltage spacing between adjacent extrema.
-    """
-    return _sweep_records(setup, [state], v_max, n)[0]
-
-
 def contrast_from_visibility(visibility: float) -> tuple[float, float]:
     """On/off contrast (ratio, dB) implied by a fringe visibility.
 
@@ -249,13 +217,6 @@ def contrast_from_visibility(visibility: float) -> tuple[float, float]:
         raise ValueError(f"visibility must lie in [0, 1), got {visibility}")
     ratio = (1.0 + visibility) / (1.0 - visibility)
     return ratio, 10.0 * math.log10(ratio)
-
-
-def visibility_from_contrast(ratio: float) -> float:
-    """Inverse of ``contrast_from_visibility`` on finite ratios of at least 1."""
-    if not (math.isfinite(ratio) and ratio >= 1.0):
-        raise ValueError(f"contrast ratio must be finite and at least 1, got {ratio}")
-    return (ratio - 1.0) / (ratio + 1.0)
 
 
 def insertion_loss(transmissions: Sequence[float]) -> float:
@@ -322,6 +283,8 @@ def fit_mosfet_on_r(
     discharge time constant R_on * C. The bracket must keep R_on * C / 10
     above the sample step and R_on below 1% of the recharge resistor.
     """
+    if not (math.isfinite(target_edge) and target_edge > 0.0):
+        raise ValueError(f"target_edge must be a finite positive time, got {target_edge}")
 
     def edge_error(r_on: float) -> float:
         trial = replace(circuit, mosfet_on_r=r_on)
@@ -407,8 +370,22 @@ def table1_report(
     """Fringe sweep per linear input polarization angle.
 
     The headline device characterization: one record per input angle with
-    fitted half-wave voltage, visibility, and contrast. Each record equals
-    ``sawtooth_sweep`` at that angle; the angles share one sweep grid, and
+    fitted half-wave voltage, visibility, and contrast. Requires v_max >=
+    1.5x the crystal's nominal half-wave voltage (None sweeps to 2x) and
+    n >= 64 samples so both fringe extrema are contained. The background is
+    subtracted before computing visibility; v_half_fit is the voltage
+    spacing between adjacent extrema. The angles share one sweep grid, and
     each block of it goes through the loop once for all of them.
     """
-    return _sweep_records(setup, [linear_state(a) for a in input_angles], v_max, n)
+    v_max = _sweep_ceiling(setup.loop.crystal, v_max)
+    nominal = half_wave_voltage(setup.loop.crystal)
+    if v_max < 1.5 * nominal:
+        raise ValueError(
+            f"sweep range {v_max:g} V too short; need at least 1.5 * V_half = {1.5 * nominal:g} V"
+        )
+    voltages = _sweep_grid(v_max, n)
+    if n < 64:
+        raise ValueError(f"need at least 64 sweep samples, got {n}")
+    corrected = _intensities(setup, [linear_state(a) for a in input_angles], voltages)
+    corrected -= setup.background
+    return [_record(voltages, row) for row in corrected]

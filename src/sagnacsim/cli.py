@@ -60,8 +60,7 @@ def _resolve(cfg: SceneConfig, args: argparse.Namespace) -> SceneConfig:
 
 
 def _scan_voltages(cfg: SceneConfig, layout: LoopLayout) -> np.ndarray:
-    v_max = _bench._sweep_ceiling(layout.crystal, cfg.scan.v_max)
-    return np.linspace(0.0, v_max, cfg.scan.samples)
+    return _bench._sweep_grid(_bench._sweep_ceiling(layout.crystal, cfg.scan.v_max), cfg.scan.samples)
 
 
 # What a runner returns: the CSV header, its rows and the summary line.

@@ -192,13 +192,14 @@ class LossElement:
             raise ValueError(f"transmission must lie in (0, 1], got {self.transmission}")
 
 
-def element_matrix(element, direction: str = "forward", drive_voltage: float = 0.0) -> np.ndarray:
+def element_matrix(element, direction: str = "forward") -> np.ndarray:
     """Lab-frame transfer matrix of ``element`` for the given direction.
 
-    ``drive_voltage`` only affects the Eom. Per the shared-lab-basis
-    convention above, reciprocal elements return transpose(forward) for the
-    backward direction (a no-op for this symmetric/diagonal catalogue) and
-    the Faraday rotator returns its forward matrix unchanged.
+    Per the shared-lab-basis convention above, reciprocal elements return
+    transpose(forward) for the backward direction (a no-op for this
+    symmetric/diagonal catalogue) and the Faraday rotator returns its
+    forward matrix unchanged. The Eom has no fixed matrix: its matrix at
+    drive voltage V is diag(Eom.phase_factors(V)).
     """
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
@@ -208,14 +209,14 @@ def element_matrix(element, direction: str = "forward", drive_voltage: float = 0
         m = np.array([[c, s], [s, -c]], dtype=complex)
     elif isinstance(element, FaradayRotator):
         return rotation(element.rotation)  # same lab sense both ways
-    elif isinstance(element, Eom):
-        m = np.diag(element.phase_factors(drive_voltage))
     elif isinstance(element, Mirror):
         m = np.exp(1j * element.phase_offset) * np.eye(2, dtype=complex)
     elif isinstance(element, LossElement):
         m = math.sqrt(element.transmission) * np.eye(2, dtype=complex)
     elif isinstance(element, Pbs):
         raise ValueError("a Pbs has no single transfer matrix; use pbs_split / pbs_combine")
+    elif isinstance(element, Eom):
+        raise ValueError("an Eom has no fixed transfer matrix; use diag(Eom.phase_factors(V))")
     else:
         raise TypeError(f"unknown optical element {element!r}")
     return m.T if direction == "backward" else m

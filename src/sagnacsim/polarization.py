@@ -25,11 +25,8 @@ __all__ = [
     "H",
     "V",
     "PhaseDecomposition",
-    "apply",
-    "compose",
     "global_phase_decompose",
     "identity_infidelity",
-    "is_unitary",
     "linear_state",
     "normalize",
     "rotation",
@@ -110,16 +107,6 @@ def normalize(s) -> np.ndarray:
     return s / norm
 
 
-def apply(t, s) -> np.ndarray:
-    """Matrix-vector product t @ s."""
-    return _as_transform(t) @ _as_state(s)
-
-
-def compose(a, b) -> np.ndarray:
-    """Transform product a @ b, with b acting first."""
-    return _as_transform(a) @ _as_transform(b)
-
-
 def rotation(theta: float) -> np.ndarray:
     """Rotation of the transverse plane by ``theta`` radians (H toward V)."""
     c, s = math.cos(theta), math.sin(theta)
@@ -132,11 +119,6 @@ def _unitarity_deviation(m: np.ndarray) -> float:
     if _largest_part(m) > 1e150:
         return math.inf
     return float(np.max(np.abs(m.conj().T @ m - _IDENTITY)))
-
-
-def is_unitary(m, tol: float = 1e-12) -> bool:
-    """Max-entry check of M^dagger M = I."""
-    return bool(_unitarity_deviation(_as_transform(m)) < tol)
 
 
 class PhaseDecomposition(NamedTuple):

@@ -23,13 +23,10 @@ from sagnacsim import (
     half_wave_voltage,
     insertion_loss,
     linear_state,
-    mz_intensity,
-    sawtooth_sweep,
     sweep_curve,
     switching_trace,
     table1_report,
     parse_config,
-    visibility_from_contrast,
 )
 from sagnacsim import bench
 from sagnacsim import circuit as circuit_module
@@ -117,21 +114,26 @@ class TestMeasurementRecord:
             MeasurementRecord(i_on, i_off, 96.0)
 
 
+def reading(setup, state, voltage):
+    """One fringe reading: the detected power of ``state`` at one drive voltage."""
+    return float(bench._intensities(setup, [state], [voltage])[0, 0])
+
+
 class TestMzIntensity:
     def test_bright_fringe(self, ideal_setup):
-        assert mz_intensity(ideal_setup, linear_state(0.2), 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert reading(ideal_setup, linear_state(0.2), 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_dark_fringe(self, ideal_setup, v_half):
-        assert mz_intensity(ideal_setup, linear_state(0.2), v_half) == pytest.approx(0.0, abs=1e-12)
+        assert reading(ideal_setup, linear_state(0.2), v_half) == pytest.approx(0.0, abs=1e-12)
 
     def test_background_offset(self, crystal, v_half):
         setup = diag_ref_setup(crystal, 1.0, 0.0, background=0.25)
-        assert mz_intensity(setup, linear_state(0.0), v_half) == pytest.approx(0.25, abs=1e-12)
+        assert reading(setup, linear_state(0.0), v_half) == pytest.approx(0.25, abs=1e-12)
 
     def test_ideal_cosine_response(self, ideal_setup, v_half):
         for frac in (0.0, 0.2, 0.5, 0.8, 1.0, 1.5):
             phi = math.pi * frac
-            got = mz_intensity(ideal_setup, linear_state(1.0), frac * v_half)
+            got = reading(ideal_setup, linear_state(1.0), frac * v_half)
             assert got == pytest.approx((1 + math.cos(phi)) / 2, abs=1e-10)
 
     def test_partial_overlap_response(self, crystal, v_half):
@@ -139,24 +141,16 @@ class TestMzIntensity:
         setup = diag_ref_setup(crystal, gamma, 0.0)
         for frac in (0.0, 0.3, 1.0):
             phi = math.pi * frac
-            got = mz_intensity(setup, linear_state(0.0), frac * v_half)
+            got = reading(setup, linear_state(0.0), frac * v_half)
             assert got == pytest.approx((1 + gamma * math.cos(phi)) / 2, abs=1e-10)
-
-    def test_requires_normalized_input(self, ideal_setup):
-        with pytest.raises(ValueError, match="normalized"):
-            mz_intensity(ideal_setup, np.array([1.0, 1.0]), 0.0)
-        with pytest.raises(ValueError, match="normalized"):
-            mz_intensity(ideal_setup, np.array([1e200, 0.0]), 0.0)  # its power overflows
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda setup, s, v_half: mz_intensity(setup, s, 0.0),
             lambda setup, s, v_half: sweep_curve(setup, s, 2 * v_half, 65),
-            lambda setup, s, v_half: sawtooth_sweep(setup, s, 2 * v_half, 65),
             lambda setup, s, v_half: switching_trace(setup, s, *switch_parts(v_half), 12e-9, 10e-12),
         ],
-        ids=["mz_intensity", "sweep_curve", "sawtooth_sweep", "switching_trace"],
+        ids=["sweep_curve", "switching_trace"],
     )
     def test_non_finite_state_rejected(self, ideal_setup, v_half, call):
         # Without the check these return NaN or fail late on their NaN readings.
@@ -178,7 +172,7 @@ class TestMzIntensity:
         voltages, intensities = sweep_curve(ideal_setup, linear_state(0.3), 2 * v_half, 65)
         assert len(voltages) == len(intensities) == 65
         for v, i in zip(voltages[::16], intensities[::16]):
-            assert i == pytest.approx(mz_intensity(ideal_setup, linear_state(0.3), v), abs=1e-12)
+            assert i == pytest.approx(reading(ideal_setup, linear_state(0.3), v), abs=1e-12)
         # No ceiling sweeps to 2 * V_half, the same grid as the explicit one.
         default = sweep_curve(ideal_setup, linear_state(0.3), None, 65)
         np.testing.assert_array_equal(default[0], voltages)
@@ -187,7 +181,7 @@ class TestMzIntensity:
 
 class TestSawtoothSweep:
     def test_ideal_record(self, ideal_setup, v_half):
-        rec = sawtooth_sweep(ideal_setup, linear_state(0.0), 2 * v_half, 2001)
+        rec = table1_report(ideal_setup, [0.0], 2 * v_half, 2001)[0]
         assert rec.visibility == pytest.approx(1.0, abs=1e-9)
         step = 2 * v_half / 2000
         assert rec.v_half_fit == pytest.approx(v_half, abs=step)
@@ -195,39 +189,32 @@ class TestSawtoothSweep:
 
     def test_gamma_sets_visibility(self, crystal, v_half):
         setup = diag_ref_setup(crystal, 0.95, 0.0)
-        rec = sawtooth_sweep(setup, linear_state(0.0), 2 * v_half, 4097)
+        rec = table1_report(setup, [0.0], 2 * v_half, 4097)[0]
         assert rec.visibility == pytest.approx(0.95, abs=1e-6)
 
     def test_table_row_echo(self, crystal, v_half):
-        rec = sawtooth_sweep(
-            diag_ref_setup(crystal, 0.961, 0.0), linear_state(0.0), 2 * v_half, 4097
-        )
+        rec = table1_report(diag_ref_setup(crystal, 0.961, 0.0), [0.0], 2 * v_half, 4097)[0]
         assert rec.visibility == pytest.approx(0.961, abs=1e-6)
-        rec45 = sawtooth_sweep(
-            diag_ref_setup(crystal, 0.956, math.radians(24.0)),
-            linear_state(math.pi / 4),
-            2 * v_half,
-            4097,
-        )
+        rec45 = table1_report(
+            diag_ref_setup(crystal, 0.956, math.radians(24.0)), [math.pi / 4], 2 * v_half, 4097
+        )[0]
         assert rec45.visibility == pytest.approx(0.956 * math.cos(math.radians(12.0)), abs=1e-5)
 
     def test_diagonal_imperfection_law(self, crystal, v_half):
         gamma, delta = 0.9, 0.7
         setup = diag_ref_setup(crystal, gamma, delta)
-        rec = sawtooth_sweep(setup, linear_state(math.pi / 4), 2 * v_half, 4097)
+        rec = table1_report(setup, [math.pi / 4], 2 * v_half, 4097)[0]
         assert rec.visibility == pytest.approx(gamma * abs(math.cos(delta / 2)), abs=1e-6)
         # 0 and 90 degree inputs stay at gamma exactly
         for angle in (0.0, math.pi / 2):
-            rec_b = sawtooth_sweep(setup, linear_state(angle), 2 * v_half, 4097)
+            rec_b = table1_report(setup, [angle], 2 * v_half, 4097)[0]
             assert rec_b.visibility == pytest.approx(gamma, abs=1e-6)
 
     def test_background_invariance(self, crystal, v_half):
-        bare = sawtooth_sweep(
-            diag_ref_setup(crystal, 0.9, 0.4), linear_state(0.6), 2 * v_half, 1001
-        )
-        offset = sawtooth_sweep(
-            diag_ref_setup(crystal, 0.9, 0.4, background=0.37), linear_state(0.6), 2 * v_half, 1001
-        )
+        bare = table1_report(diag_ref_setup(crystal, 0.9, 0.4), [0.6], 2 * v_half, 1001)[0]
+        offset = table1_report(
+            diag_ref_setup(crystal, 0.9, 0.4, background=0.37), [0.6], 2 * v_half, 1001
+        )[0]
         assert offset.visibility == pytest.approx(bare.visibility, abs=1e-12)
 
     def test_visibility_bounded_by_gamma(self, crystal, v_half):
@@ -236,31 +223,28 @@ class TestSawtoothSweep:
             gamma = rng.uniform(0.1, 1.0)
             delta = rng.uniform(-math.pi, math.pi)
             setup = diag_ref_setup(crystal, gamma, delta)
-            rec = sawtooth_sweep(
-                setup, linear_state(rng.uniform(0, math.pi)), 2 * v_half, 513
-            )
+            rec = table1_report(setup, [rng.uniform(0, math.pi)], 2 * v_half, 513)[0]
             assert rec.visibility <= gamma + 1e-9
 
     def test_flat_fringe_rejected(self, ideal_setup, v_half):
         # With no mode overlap nothing interferes: the detected power is flat.
         with pytest.raises(ValueError, match="sweep too short"):
-            sawtooth_sweep(replace(ideal_setup, mode_overlap=0.0), linear_state(0.0), 2 * v_half, 1001)
+            table1_report(replace(ideal_setup, mode_overlap=0.0), [0.0], 2 * v_half, 1001)
 
     def test_range_preconditions(self, ideal_setup, v_half):
         with pytest.raises(ValueError, match="sweep range"):
-            sawtooth_sweep(ideal_setup, linear_state(0.0), 1.2 * v_half, 1001)
+            table1_report(ideal_setup, [0.0], 1.2 * v_half, 1001)
         with pytest.raises(ValueError, match="64"):
-            sawtooth_sweep(ideal_setup, linear_state(0.0), 2 * v_half, 32)
+            table1_report(ideal_setup, [0.0], 2 * v_half, 32)
 
     @pytest.mark.parametrize("v_max", [math.inf, math.nan])
     @pytest.mark.parametrize(
         "call",
         [
             lambda setup, v_max: sweep_curve(setup, linear_state(0.0), v_max, 65),
-            lambda setup, v_max: sawtooth_sweep(setup, linear_state(0.0), v_max, 65),
             lambda setup, v_max: table1_report(setup, v_max=v_max, n=65),
         ],
-        ids=["sweep_curve", "sawtooth_sweep", "table1_report"],
+        ids=["sweep_curve", "table1_report"],
     )
     def test_non_finite_ceiling_rejected(self, ideal_setup, call, v_max):
         # np.linspace would warn and fill the grid with NaN or infinity.
@@ -271,10 +255,9 @@ class TestSawtoothSweep:
         "call",
         [
             lambda setup, n: sweep_curve(setup, linear_state(0.0), None, n),
-            lambda setup, n: sawtooth_sweep(setup, linear_state(0.0), None, n),
             lambda setup, n: table1_report(setup, n=n),
         ],
-        ids=["sweep_curve", "sawtooth_sweep", "table1_report"],
+        ids=["sweep_curve", "table1_report"],
     )
     def test_grid_cap_boundary(self, ideal_setup, call):
         # The sweeps share the driver's grid cap; past it, no grid is allocated.
@@ -283,6 +266,33 @@ class TestSawtoothSweep:
             with mock.patch.object(np, "linspace", side_effect=AssertionError("grid allocated")):
                 with pytest.raises(ValueError, match="allocate"):
                     call(ideal_setup, 101)
+
+    @pytest.mark.parametrize(
+        "n", [65.0, -5, True, np.True_, "65", None],
+        ids=["float", "negative", "bool", "numpy_bool", "str", "None"],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda setup, n: sweep_curve(setup, linear_state(0.0), None, n),
+            lambda setup, n: table1_report(setup, n=n),
+        ],
+        ids=["sweep_curve", "table1_report"],
+    )
+    def test_sample_count_must_be_a_non_negative_integer(self, ideal_setup, call, n):
+        # These raised numpy's TypeError or its own message, or read True as 1.
+        with mock.patch.object(np, "linspace", side_effect=AssertionError("grid allocated")):
+            with pytest.raises(ValueError, match="sample count n must be a non-negative integer"):
+                call(ideal_setup, n)
+
+    def test_numpy_and_zero_sample_counts_accepted(self, ideal_setup):
+        voltages, intensities = sweep_curve(ideal_setup, linear_state(0.0), None, np.int64(65))
+        assert len(voltages) == len(intensities) == 65
+        assert table1_report(ideal_setup, n=np.int64(65)) == table1_report(ideal_setup, n=65)
+        voltages, intensities = sweep_curve(ideal_setup, linear_state(0.0), None, 0)
+        assert len(voltages) == len(intensities) == 0
+        with pytest.raises(ValueError, match="at least 64"):
+            table1_report(ideal_setup, n=0)
 
 
 def loop_extrema_spacing(voltages, values):
@@ -340,13 +350,9 @@ class TestContrast:
         with pytest.raises(ValueError):
             contrast_from_visibility(1.5)
 
-    def test_infinite_ratio_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            visibility_from_contrast(math.inf)
-
     def test_round_trip_with_inverse(self):
         for ratio in (1.5, 5.0, 36.7, 500.0):
-            r2, _ = contrast_from_visibility(visibility_from_contrast(ratio))
+            r2, _ = contrast_from_visibility((ratio - 1.0) / (ratio + 1.0))
             assert r2 == pytest.approx(ratio, rel=1e-12)
 
 
@@ -447,7 +453,7 @@ class TestSwitchingTrace:
         r_on = fit_mosfet_on_r(setup, state, scene.drive_circuit(), gates, tr.t_end, tr.dt, 1.6e-9)
         circuit = replace(scene.drive_circuit(), mosfet_on_r=r_on)
         voltage = ode_oracle(circuit, gates, tr.t_end, tr.dt, circuit.supply_voltage)
-        intensity = Waveform(0.0, tr.dt, [mz_intensity(setup, state, v) for v in voltage])
+        intensity = Waveform(0.0, tr.dt, bench._intensities(setup, [state], np.asarray(voltage))[0])
         edge = edge_time_10_90(intensity, falling=False)
         want = switching_trace(setup, state, circuit, gates, tr.t_end, tr.dt).optical_10_90
         assert edge == pytest.approx(want, abs=1e-12)
@@ -500,6 +506,18 @@ class TestBrent:
         assert abs(fitted - root) <= 1e-3
         assert fit_calls <= len(calls) - fit_calls
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1.6e-9])
+    def test_bad_target_edge_rejected_before_any_trace(self, fitted_scene, target, monkeypatch):
+        # A NaN target ran two full traces, then failed in _brent on NaN values.
+        setup, circuit = fitted_scene
+        traced = mock.Mock(wraps=switching_trace)
+        monkeypatch.setattr(bench, "switching_trace", traced)
+        with pytest.raises(ValueError, match="target_edge must be a finite positive time"):
+            fit_mosfet_on_r(
+                setup, linear_state(0.0), circuit, GateSchedule((2e-9,), 30e-9), 40e-9, 10e-12, target
+            )
+        assert not traced.called
+
     def test_same_sign_bracket_rejected(self):
         with pytest.raises(ValueError, match="sign"):
             _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-3)
@@ -517,7 +535,7 @@ class TestTable1Report:
             assert rec.v_half_fit == pytest.approx(records[0].v_half_fit, abs=1e-9)
 
     @pytest.mark.parametrize("v_max_halves, n", [(None, 2001), (1.5, 64), (3.7, 777)])
-    def test_equals_sawtooth_sweep_per_angle(self, crystal, v_half, v_max_halves, n):
+    def test_stacked_angles_equal_one_at_a_time(self, crystal, v_half, v_max_halves, n):
         v_max = None if v_max_halves is None else v_max_halves * v_half
         angles = (0.0, 0.3, math.pi / 4, math.pi / 2, 2.5)
         for setup in (
@@ -529,7 +547,7 @@ class TestTable1Report:
             MzSetup(build_default_loop(crystal), ref_arm=[[0.9, 0.3j], [0.2, 0.8 * np.exp(0.4j)]]),
         ):
             sweep_max = 2.0 * v_half if v_max is None else v_max
-            want = [sawtooth_sweep(setup, linear_state(a), sweep_max, n) for a in angles]
+            want = [table1_report(setup, [a], sweep_max, n)[0] for a in angles]
             assert table1_report(setup, angles, v_max, n) == want
 
     def test_no_angles_give_no_records(self, ideal_setup):
@@ -573,7 +591,7 @@ class TestFitReferenceImperfections:
         assert gamma == pytest.approx(0.954, abs=1e-12)
         assert gamma * math.cos(delta / 2) == pytest.approx(0.933, abs=1e-12)
         setup = diag_ref_setup(crystal, gamma, delta)
-        rec = sawtooth_sweep(setup, linear_state(math.pi / 4), 2 * v_half, 4097)
+        rec = table1_report(setup, [math.pi / 4], 2 * v_half, 4097)[0]
         assert rec.visibility == pytest.approx(0.933, abs=1e-5)
 
     def test_rejects_excess_45(self):

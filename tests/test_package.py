@@ -1,5 +1,6 @@
 """The package surface and the demos that use it."""
 
+import ast
 import runpy
 import types
 from pathlib import Path
@@ -10,7 +11,21 @@ import sagnacsim
 from sagnacsim import bench, circuit, config, elements, loop, polarization
 
 MODULES = (bench, circuit, config, elements, loop, polarization)
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+
+# The code whose calls keep a public name: the package, the demos, the
+# acceptance suite, the test oracles and the benchmark workloads.
+CALLERS = (
+    *sorted((ROOT / "src" / "sagnacsim").glob("*.py")),
+    *sorted(DEMOS.glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "tests" / "conftest.py",
+    ROOT / "perfbench" / "workloads.py",
+)
+# Public with no caller yet: the contract fuzzer and the run record planned
+# in ROADMAP.md (items 5 and 6) render scenes with it.
+UNCALLED = {"render_config"}
 
 
 def test_public_names_are_the_modules_all():
@@ -23,6 +38,21 @@ def test_public_names_are_the_modules_all():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(sagnacsim, name) is getattr(module, name), name
+
+
+def test_every_public_name_has_a_caller():
+    # A name counts where it is read or looked up as an attribute; an import,
+    # a docstring or an __all__ entry does not call it.
+    used = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = set().union(*(m.__all__ for m in MODULES)) - used
+    assert not uncalled - UNCALLED, f"public names with no caller: {sorted(uncalled - UNCALLED)}"
+    assert UNCALLED <= uncalled  # a name that gains a caller leaves the list
 
 
 # One line each demo prints, and the file it writes, if any.
