@@ -24,17 +24,20 @@ which is what limits the repetition rate of the switch.
 
 Sample k of a waveform lies at time t0 + k * dt; the simulation and the edge
 finder address samples by that grid index and never build an array of times.
-Both walk the samples in fixed blocks that fit in a core's L2 cache:
-``simulate`` evaluates each segment block by block into the output, then
-its end value, which starts the next segment, in one more call; the edge
-finder searches block by block and stops at the first crossing.
+Both walk the samples in fixed blocks that fit in a core's L2 cache.
+``simulate`` fills its output with the grid indices k and turns each block
+in place into the offsets k * dt - start, then into the voltages, so a gate
+off or on block allocates nothing; each segment's end value, which starts
+the next segment, takes one more call. A ``Waveform`` takes the range of its
+samples once, when it is built; the edge finder reads its levels from that
+range and searches block by block, stopping at the first crossing.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -144,6 +147,8 @@ class GateSchedule:
 
     @classmethod
     def periodic(cls, repetition_rate: float, count: int, hold_duration: float, start: float = 0.0):
+        if isinstance(count, bool) or not hasattr(count, "__index__"):
+            raise ValueError(f"the pulse count must be an integer, got {count!r}")
         if not (math.isfinite(repetition_rate) and repetition_rate > 0.0):
             raise ValueError(f"repetition rate must be finite and positive, got {repetition_rate}")
         period = 1.0 / repetition_rate
@@ -152,18 +157,31 @@ class GateSchedule:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Uniformly sampled trace (voltage or intensity) starting at ``t0``."""
+    """Uniformly sampled trace (voltage or intensity) starting at ``t0``.
+
+    The samples must be finite. Their range (min, max) is taken once, when
+    the waveform is built; an empty waveform has the range (0, 0).
+    ``samples`` is a read-only view, so the range cannot go stale through
+    it. The view shares the array passed in, which is not copied: writing
+    to that array afterwards leaves the range stale."""
 
     t0: float
     dt: float
     samples: np.ndarray
+    _range: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        samples = np.asarray(self.samples, dtype=float).view()
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not np.all(np.isfinite(self.samples)):
+        # min and max propagate NaN and reach +-inf, so checking the range
+        # checks every sample.
+        lo, hi = (float(samples.min()), float(samples.max())) if samples.size else (0.0, 0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("waveform samples must be finite")
+        object.__setattr__(self, "_range", (lo, hi))
 
     @property
     def times(self) -> np.ndarray:
@@ -227,8 +245,15 @@ def _ramp_rate(circuit: DriveCircuit) -> float:
 
 
 def _relax(target: float, tau: float, v0: float, u: np.ndarray) -> np.ndarray:
-    """Gate off or fully on: V relaxes from v0 toward target with constant tau."""
-    return target + (v0 - target) * np.exp(-u / tau)
+    """Gate off or fully on: V relaxes from v0 toward target with constant tau.
+
+    Overwrites u in place, each value through the same IEEE operations as
+    target + (v0 - target) * exp(-u / tau), and returns it."""
+    u /= -tau
+    np.exp(u, out=u)
+    u *= v0 - target
+    u += target
+    return u
 
 
 def _ramp(circuit: DriveCircuit, v0: float, u: np.ndarray) -> np.ndarray:
@@ -247,7 +272,8 @@ def _ramp(circuit: DriveCircuit, v0: float, u: np.ndarray) -> np.ndarray:
 
 def _segments(circuit: DriveCircuit, gates: GateSchedule) -> list:
     """The driver's timeline: ``(start, evaluate)`` rows in time order, with
-    ``evaluate(v0, u)`` the voltage u seconds into the segment from v0.
+    ``evaluate(v0, u)`` the voltage u seconds into the segment from v0; it
+    may overwrite the float array u, and the gate off and on rows do.
 
     Row 0 is the gate off from t = 0, then each pulse adds its ramp, on state
     and off state; so row 3 starts where the first conduction window ends.
@@ -261,6 +287,15 @@ def _segments(circuit: DriveCircuit, gates: GateSchedule) -> list:
         rows += [(start, ramp), (start + circuit.gate_rise_time, on),
                  (start + gates.hold_duration, off)]
     return rows
+
+
+def _evaluate_block(u: np.ndarray, dt: float, start: float, evaluate, v0: float) -> None:
+    """Overwrite u, a block of grid indices k, with evaluate(v0, k * dt - start).
+    The offsets are built in u itself, so an evaluator that works in place
+    allocates nothing."""
+    u *= dt
+    u -= start
+    u[...] = evaluate(v0, u)
 
 
 def simulate(
@@ -277,6 +312,10 @@ def simulate(
     initial voltage defaults to a fully discharged crystal. On times and the
     gate delay are non-negative, so the gate is off at t = 0 and the waveform
     starts from ``v_start``.
+
+    Beyond one block's temporaries in a gate ramp, the output is the only
+    allocation: it starts as the grid indices, and each block is
+    overwritten in place with its voltages.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0.0):
@@ -299,14 +338,13 @@ def simulate(
     segments = [row for row in _segments(circuit, gates) if row[0] < t_end]
 
     grid = range(math.floor(t_end / dt) + 1)
-    samples = np.empty(len(grid))
+    samples = np.arange(len(grid), dtype=float)
     v0 = float(v_start)
     for (start, evaluate), (end, _) in zip(segments, segments[1:] + [(math.inf, None)]):
         lo = bisect_left(grid, start, key=lambda k: k * dt)
         hi = bisect_left(grid, end, key=lambda k: k * dt)
         for a in range(lo, hi, _BLOCK):
-            b = min(a + _BLOCK, hi)
-            samples[a:b] = evaluate(v0, np.arange(a, b) * dt - start)
+            _evaluate_block(samples[a : min(a + _BLOCK, hi)], dt, start, evaluate, v0)
         # The segment's end value starts the next one (unused after the last
         # segment, where end is inf).
         v0 = float(evaluate(v0, np.array([end - start]))[0])
@@ -336,13 +374,14 @@ def recovery_fraction(circuit: DriveCircuit, repetition_rate: float, hold_durati
 def edge_time_10_90(waveform: Waveform, falling: bool) -> float:
     """Duration of the first 10%-to-90% transition of a monotone edge.
 
-    Levels are taken at 10% and 90% of the waveform's full span. For a
-    falling edge the 90% level must be crossed first; thresholds are located
-    by linear interpolation between the bracketing samples. Raises
+    Levels are taken at 10% and 90% of the waveform's full span, the range
+    the waveform took when it was built, so finding them reads no sample.
+    For a falling edge the 90% level must be crossed first; thresholds are
+    located by linear interpolation between the bracketing samples. Raises
     ValueError("no edge found") when the waveform never spans both levels.
     """
     values = waveform.samples
-    lo, hi = float(np.min(values)), float(np.max(values))
+    lo, hi = waveform._range
     if hi <= lo:
         raise ValueError("no edge found: waveform is constant")
     level_10 = lo + 0.1 * (hi - lo)

@@ -27,6 +27,7 @@ from sagnacsim import (
     switching_trace,
     table1_report,
     parse_config,
+    simulate,
 )
 from sagnacsim import bench
 from sagnacsim import circuit as circuit_module
@@ -441,6 +442,22 @@ class TestSwitchingTrace:
         n = len(result.intensity.samples)
         assert n >= 10**6
         assert peak / n <= 32
+
+    def test_simulate_memory_bounded_per_sample(self, v_half):
+        # The returned voltage takes 8 B per sample; the blocks are evaluated
+        # in place in it, and the waveform takes its range with no temporary.
+        circuit, gates = switch_parts(v_half)
+        args = (circuit, gates, 2e-5, 10e-12)
+        simulate(*args)
+        tracemalloc.start()
+        try:
+            result = simulate(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(result.samples)
+        assert n >= 2 * 10**6
+        assert peak / n <= 8.1
 
     def test_ode_oracle_gives_the_fitted_edge(self):
         # The oracle's voltage, mapped through the fitted bench, switches in

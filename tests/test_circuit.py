@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -117,6 +118,21 @@ class TestGateSchedule:
         with pytest.raises(ValueError, match="repetition rate"):
             GateSchedule.periodic(0.0, 3, 1e-6)
 
+    @pytest.mark.parametrize(
+        "count",
+        [2.5, 3.0, True, np.True_, np.float64(3.0), "3", None],
+        ids=["2.5", "3.0", "True", "np.True_", "np.float64", "str", "None"],
+    )
+    def test_periodic_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="pulse count must be an integer"):
+            GateSchedule.periodic(1e5, count, 1e-6)
+
+    @pytest.mark.parametrize(
+        "count", [np.int64(3), np.int32(3), np.uint8(3)], ids=["int64", "int32", "uint8"]
+    )
+    def test_periodic_numpy_integer_count_accepted(self, count):
+        assert GateSchedule.periodic(1e5, count, 1e-6) == GateSchedule.periodic(1e5, 3, 1e-6)
+
     def test_on_time_before_zero_rejected(self):
         with pytest.raises(ValueError, match="on_times must be non-negative"):
             GateSchedule((-1e-9,), 30e-9)
@@ -159,7 +175,9 @@ class TestSimulate:
 
     def test_grid_too_large_to_allocate(self):
         # 1e10 samples (80 GB) are refused before numpy is asked for them.
-        with mock.patch.object(np, "empty", side_effect=AssertionError("grid allocated")):
+        allocated = AssertionError("grid allocated")
+        with mock.patch.object(np, "empty", side_effect=allocated), \
+                mock.patch.object(np, "arange", side_effect=allocated):
             with pytest.raises(ValueError, match="allocate"):
                 simulate(reference_circuit(), GateSchedule((1e-9,), 1e-8), 0.1, 1e-11)
 
@@ -319,9 +337,27 @@ class TestWaveform:
         with pytest.raises(ValueError):
             Waveform(0.0, 0.0, np.zeros(4))
 
-    def test_finite_samples(self):
-        with pytest.raises(ValueError):
-            Waveform(0.0, 1e-9, np.array([0.0, np.nan]))
+    @pytest.mark.parametrize("where", [0, 4, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_finite_samples(self, value, where):
+        samples = np.linspace(0.0, 1.0, 9)
+        samples[where] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            Waveform(0.0, 1e-9, samples)
+
+    def test_samples_are_read_only(self):
+        data = np.linspace(0.0, 1.0, 5)
+        w = Waveform(0.0, 1e-9, data)
+        with pytest.raises(ValueError, match="read-only"):
+            w.samples[0] = 2.0
+        assert data.flags.writeable  # the caller's array is left as it was
+
+    def test_empty_waveform_builds(self):
+        assert len(Waveform(0.0, 1e-9, np.array([])).samples) == 0
+
+    def test_empty_waveform_has_no_edge(self):
+        with pytest.raises(ValueError, match="no edge found"):
+            edge_time_10_90(Waveform(0.0, 1e-9, np.array([])), falling=True)
 
     def test_times(self):
         w = Waveform(1.0, 0.5, np.zeros(3))
@@ -474,6 +510,34 @@ class TestTransientProperties:
     def test_edge_matches_per_sample_scan_in_small_blocks(self, block, t0, dt, samples, falling):
         with blocks_of(block):
             check_edge_matches_per_sample_scan(t0, dt, samples, falling)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        a=st.integers(0, 10**8 - 1),
+        length=st.integers(1, 200),
+        pad=st.integers(0, 9),
+        dt=st.floats(1e-14, 1e-6),
+        start_share=st.floats(0.0, 1.0),
+        tau_scale=st.floats(1e-3, 1e3),
+        v0=st.floats(-200.0, 200.0),
+        target=st.floats(-200.0, 200.0),
+    )
+    def test_relax_in_place_is_bit_identical(self, a, length, pad, dt, start_share, tau_scale, v0, target):
+        # A block evaluated in place, inside a larger array as in simulate,
+        # gives the same bits as the out-of-place expression.
+        b = a + length
+        start = a * dt * start_share
+        tau = tau_scale * (b * dt - start)
+        want = target + (v0 - target) * np.exp(-(np.arange(a, b) * dt - start) / tau)
+        first = min(pad, a)
+        grid = np.arange(a - first, b + pad, dtype=float)
+        circuit_module._evaluate_block(
+            grid[first : first + length], dt, start, partial(circuit_module._relax, target, tau), v0
+        )
+        assert np.array_equal(grid[first : first + length], want)
+        # The neighbours of the block keep their indices.
+        assert np.array_equal(grid[:first], np.arange(a - first, a))
+        assert np.array_equal(grid[first + length :], np.arange(b, b + pad))
 
     def test_small_blocks_give_the_same_samples(self):
         c = reference_circuit()
