@@ -25,12 +25,14 @@ which is what limits the repetition rate of the switch.
 Sample k of a waveform lies at time t0 + k * dt; the simulation and the edge
 finder address samples by that grid index and never build an array of times.
 Both walk the samples in fixed blocks that fit in a core's L2 cache.
-``simulate`` fills its output with the grid indices k and turns each block
-in place into the offsets k * dt - start, then into the voltages, so a gate
-off or on block allocates nothing; each segment's end value, which starts
-the next segment, takes one more call. A ``Waveform`` takes the range of its
-samples once, when it is built; the edge finder reads its levels from that
-range and searches block by block, stopping at the first crossing.
+``simulate``'s output starts empty, and its block walk is the only pass
+over it: each block is filled with its grid indices k, turned in place into
+the offsets k * dt - start and then into the voltages, and checked and
+bounded (min, max) while it is still in cache, so a gate off or on block
+allocates nothing; each segment's end value, which starts the next segment,
+takes one more call. A ``Waveform`` holds the range of its samples, taken
+when it is built; the edge finder reads its levels from that range and
+searches block by block, stopping at the first crossing.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ __all__ = [
 
 # Samples per block when walking a waveform: 256 KB of float64.
 _BLOCK = 1 << 15
+# The grid indices 0 .. _BLOCK - 1; simulate writes block a's indices as a + _INDEX.
+_INDEX = np.arange(_BLOCK, dtype=float)
+_INDEX.setflags(write=False)
 
 # Largest transient grid: 10**8 samples (800 MB of float64), five times a
 # 20-pulse, 200 us train at 10 ps.
@@ -155,15 +160,26 @@ class GateSchedule:
         return cls(tuple(start + i * period for i in range(count)), hold_duration)
 
 
+def _finite_range(block: np.ndarray, previous: tuple | None = None) -> tuple:
+    """(min, max) of a non-empty block of samples, folded into ``previous``,
+    the range of the samples before it (None for the first block). Refuses a
+    non-finite sample: min and max propagate NaN and reach +-inf, so checking
+    the block's range checks every sample in it. The fold itself uses the
+    builtin min and max, which would drop a NaN, so each block is checked."""
+    lo, hi = float(block.min()), float(block.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("waveform samples must be finite")
+    return (lo, hi) if previous is None else (min(previous[0], lo), max(previous[1], hi))
+
+
 @dataclass(frozen=True)
 class Waveform:
     """Uniformly sampled trace (voltage or intensity) starting at ``t0``.
 
     The samples must be finite. Their range (min, max) is taken once, when
     the waveform is built; an empty waveform has the range (0, 0).
-    ``samples`` is a read-only view, so the range cannot go stale through
-    it. The view shares the array passed in, which is not copied: writing
-    to that array afterwards leaves the range stale."""
+    ``samples`` is a read-only copy of the array passed in, so no write to
+    that array, or through ``samples``, can leave the range stale."""
 
     t0: float
     dt: float
@@ -171,17 +187,23 @@ class Waveform:
     _range: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float).view()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        # min and max propagate NaN and reach +-inf, so checking the range
-        # checks every sample.
-        lo, hi = (float(samples.min()), float(samples.max())) if samples.size else (0.0, 0.0)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("waveform samples must be finite")
-        object.__setattr__(self, "_range", (lo, hi))
+        samples = np.array(self.samples, dtype=float)
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_range", _finite_range(samples) if samples.size else (0.0, 0.0))
+
+    @classmethod
+    def _owned(cls, t0: float, dt: float, samples: np.ndarray, bounds: tuple) -> Waveform:
+        """A waveform over ``samples``, an array the library built and holds no
+        other reference to, with ``bounds`` its range from ``_finite_range``:
+        no copy and no pass over the samples."""
+        samples.setflags(write=False)
+        waveform = object.__new__(cls)
+        for name, value in (("t0", t0), ("dt", dt), ("samples", samples), ("_range", bounds)):
+            object.__setattr__(waveform, name, value)
+        return waveform
 
     @property
     def times(self) -> np.ndarray:
@@ -314,8 +336,10 @@ def simulate(
     starts from ``v_start``.
 
     Beyond one block's temporaries in a gate ramp, the output is the only
-    allocation: it starts as the grid indices, and each block is
-    overwritten in place with its voltages.
+    allocation, and it is written once: it starts empty, and each block is
+    filled with its grid indices, overwritten in place with its voltages and
+    checked and bounded while it is in cache, so the waveform's range needs
+    no pass of its own.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0.0):
@@ -338,17 +362,21 @@ def simulate(
     segments = [row for row in _segments(circuit, gates) if row[0] < t_end]
 
     grid = range(math.floor(t_end / dt) + 1)
-    samples = np.arange(len(grid), dtype=float)
+    samples = np.empty(len(grid))
+    bounds = None
     v0 = float(v_start)
     for (start, evaluate), (end, _) in zip(segments, segments[1:] + [(math.inf, None)]):
         lo = bisect_left(grid, start, key=lambda k: k * dt)
         hi = bisect_left(grid, end, key=lambda k: k * dt)
         for a in range(lo, hi, _BLOCK):
-            _evaluate_block(samples[a : min(a + _BLOCK, hi)], dt, start, evaluate, v0)
+            block = samples[a : min(a + _BLOCK, hi)]
+            np.add(_INDEX[: len(block)], a, out=block)
+            _evaluate_block(block, dt, start, evaluate, v0)
+            bounds = _finite_range(block, bounds)
         # The segment's end value starts the next one (unused after the last
         # segment, where end is inf).
         v0 = float(evaluate(v0, np.array([end - start]))[0])
-    return Waveform(0.0, dt, samples)
+    return Waveform._owned(0.0, dt, samples, bounds)
 
 
 def recovery_fraction(circuit: DriveCircuit, repetition_rate: float, hold_duration: float) -> float:

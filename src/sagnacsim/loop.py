@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -238,6 +239,7 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> list[Sca
     leaks = 0.5 * np.sum(np.abs(ports[:, 1]) ** 2, axis=(1, 2))
     # Four column lists and no list per row: each point allocates one object
     # the garbage collector tracks (its ScanPoint), not two, so long scans
-    # start fewer collections.
+    # start fewer collections. tuple.__new__ builds each ScanPoint from its
+    # zipped row in C, without the Python-level frame of ScanPoint._make.
     columns = (voltages.tolist(), phases.tolist(), infidelities.tolist(), leaks.tolist())
-    return list(map(ScanPoint._make, zip(*columns)))
+    return list(map(tuple.__new__, repeat(ScanPoint), zip(*columns)))

@@ -352,6 +352,20 @@ class TestWaveform:
             w.samples[0] = 2.0
         assert data.flags.writeable  # the caller's array is left as it was
 
+    def test_writing_the_callers_array_leaves_the_waveform_as_built(self):
+        # The waveform keeps a copy, so its samples and their range cannot
+        # drift apart when the caller reuses its array.
+        data = np.zeros(100)
+        w = Waveform(0.0, 1e-3, data)
+        data[:] = np.linspace(1.0, 0.0, 100)
+        assert not w.samples.any() and w._range == (0.0, 0.0)
+        with pytest.raises(ValueError, match="waveform is constant"):
+            edge_time_10_90(w, falling=True)
+        data = np.linspace(1.0, 0.0, 100)
+        w = Waveform(0.0, 1e-3, data)
+        data[:] = 0.0
+        assert edge_time_10_90(w, falling=True) == pytest.approx(0.8 * 99e-3, rel=1e-9)
+
     def test_empty_waveform_builds(self):
         assert len(Waveform(0.0, 1e-9, np.array([])).samples) == 0
 
@@ -445,6 +459,7 @@ def check_simulate_grid(case):
     circuit, gates, t_end, dt, v_start = case
     w = simulate(circuit, gates, t_end, dt, v_start=v_start)
     assert len(w.samples) == math.floor(t_end / dt) + 1
+    assert w._range == (w.samples.min(), w.samples.max())
     fine = simulate(circuit, gates, t_end, dt / 2, v_start=v_start)
     np.testing.assert_array_equal(fine.samples[::2], w.samples)
     step = 1.01 * circuit.supply_voltage * dt / circuit.tau_discharge
@@ -538,6 +553,40 @@ class TestTransientProperties:
         # The neighbours of the block keep their indices.
         assert np.array_equal(grid[:first], np.arange(a - first, a))
         assert np.array_equal(grid[first + length :], np.arange(b, b + pad))
+
+    @pytest.mark.parametrize("block", [7, circuit_module._BLOCK])
+    def test_index_fill_is_the_grid_arange(self, block):
+        # With the evaluation left out, the output holds the indices each
+        # block was filled with: exactly np.arange over the whole grid, across
+        # block and segment edges and a partial last block.
+        c = reference_circuit()
+        gates = GateSchedule((2e-9, 62e-9, 122e-9), 30e-9)
+        with blocks_of(block), mock.patch.object(circuit_module, "_evaluate_block", lambda *args: None):
+            got = simulate(c, gates, 1.6e-6, 10e-12).samples
+        want = np.arange(len(got), dtype=float)
+        assert len(got) > circuit_module._BLOCK and len(got) % block
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_block_refused(self, value):
+        # One bad sample in a middle block fails the whole simulation, though
+        # the blocks after it are finite and the running range's builtin
+        # min and max would drop a NaN.
+        relax, calls = circuit_module._relax, []
+
+        def poisoned(target, tau, v0, u):
+            out = relax(target, tau, v0, u)
+            calls.append(len(out))
+            if len(calls) == 2:
+                out[3] = value
+            return out
+
+        c = reference_circuit()
+        gates = GateSchedule((2e-9,), 30e-9)
+        with blocks_of(7), mock.patch.object(circuit_module, "_relax", poisoned):
+            with pytest.raises(ValueError, match="must be finite"):
+                simulate(c, gates, 40e-9, 10e-12)
+        assert calls[:2] == [7, 7]
 
     def test_small_blocks_give_the_same_samples(self):
         c = reference_circuit()
