@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Walkthrough: fringe visibility and on/off contrast per input polarization.
 
-Places the loop in a Mach-Zehnder interferometer, sweeps a sawtooth voltage,
+Places the loop in a Mach-Zehnder interferometer, sweeps the voltage linearly,
 and reports visibility and contrast for 0, 45, and 90 degree inputs. The
 imperfection model has two knobs: a scalar mode-overlap factor gamma for the
 wavefront match and a diagonal phase delta in the reference arm for the

@@ -267,6 +267,11 @@ def switching_trace(
     return SwitchingTrace(voltage=voltage, intensity=intensity, optical_10_90=edge)
 
 
+# On-resistance search range in ohms: it keeps R_on * C / 10 above the sample
+# step and R_on below 1% of the recharge resistor.
+_R_ON_BRACKET = (5.0, 150.0)
+
+
 def fit_mosfet_on_r(
     setup: MzSetup,
     state,
@@ -275,13 +280,11 @@ def fit_mosfet_on_r(
     t_end: float,
     dt: float,
     target_edge: float,
-    bracket: tuple[float, float] = (5.0, 150.0),
 ) -> float:
     """MOSFET on-resistance that reproduces a target optical 10-90 time.
 
-    One-dimensional root find; the optical edge grows monotonically with the
-    discharge time constant R_on * C. The bracket must keep R_on * C / 10
-    above the sample step and R_on below 1% of the recharge resistor.
+    One-dimensional root find over ``_R_ON_BRACKET``; the optical edge grows
+    monotonically with the discharge time constant R_on * C.
     """
     if not (math.isfinite(target_edge) and target_edge > 0.0):
         raise ValueError(f"target_edge must be a finite positive time, got {target_edge}")
@@ -290,7 +293,7 @@ def fit_mosfet_on_r(
         trial = replace(circuit, mosfet_on_r=r_on)
         return switching_trace(setup, state, trial, gates, t_end, dt).optical_10_90 - target_edge
 
-    return _brent(edge_error, bracket[0], bracket[1], xtol=1e-3)
+    return _brent(edge_error, *_R_ON_BRACKET, xtol=1e-3)
 
 
 def _brent(f, a: float, b: float, xtol: float) -> float:
@@ -371,17 +374,18 @@ def table1_report(
 
     The headline device characterization: one record per input angle with
     fitted half-wave voltage, visibility, and contrast. Requires v_max >=
-    1.5x the crystal's nominal half-wave voltage (None sweeps to 2x) and
-    n >= 64 samples so both fringe extrema are contained. The background is
-    subtracted before computing visibility; v_half_fit is the voltage
+    2x the crystal's nominal half-wave voltage, one full fringe period
+    (None sweeps to exactly 2x), and n >= 64 samples, so the sweep holds a
+    maximum and a minimum of the fringe whatever its phase. The background
+    is subtracted before computing visibility; v_half_fit is the voltage
     spacing between adjacent extrema. The angles share one sweep grid, and
     each block of it goes through the loop once for all of them.
     """
     v_max = _sweep_ceiling(setup.loop.crystal, v_max)
     nominal = half_wave_voltage(setup.loop.crystal)
-    if v_max < 1.5 * nominal:
+    if v_max < 2.0 * nominal:
         raise ValueError(
-            f"sweep range {v_max:g} V too short; need at least 1.5 * V_half = {1.5 * nominal:g} V"
+            f"sweep range {v_max:g} V too short; need one fringe period, 2 * V_half = {2.0 * nominal:g} V"
         )
     voltages = _sweep_grid(v_max, n)
     if n < 64:

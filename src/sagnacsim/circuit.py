@@ -151,13 +151,16 @@ class GateSchedule:
                 raise ValueError("gate pulses overlap after adding hold_duration")
 
     @classmethod
-    def periodic(cls, repetition_rate: float, count: int, hold_duration: float, start: float = 0.0):
+    def periodic(cls, repetition_rate: float, count: int, hold_duration: float):
+        """``count`` pulses at ``repetition_rate``, the first at t = 0."""
         if isinstance(count, bool) or not hasattr(count, "__index__"):
             raise ValueError(f"the pulse count must be an integer, got {count!r}")
+        if count > _MAX_SAMPLES:
+            raise ValueError(f"{count} pulses exceed {_MAX_SAMPLES:g}; refusing to build the on times")
         if not (math.isfinite(repetition_rate) and repetition_rate > 0.0):
             raise ValueError(f"repetition rate must be finite and positive, got {repetition_rate}")
         period = 1.0 / repetition_rate
-        return cls(tuple(start + i * period for i in range(count)), hold_duration)
+        return cls(tuple(i * period for i in range(count)), hold_duration)
 
 
 def _finite_range(block: np.ndarray, previous: tuple | None = None) -> tuple:

@@ -33,13 +33,9 @@ __all__ = [
     "Pbs",
     "element_matrix",
     "half_wave_voltage",
-    "pbs_combine",
     "pbs_combine_ports",
     "pbs_split",
 ]
-
-_DIRECTIONS = ("forward", "backward")
-
 
 @dataclass(frozen=True)
 class CrystalSpec:
@@ -192,34 +188,28 @@ class LossElement:
             raise ValueError(f"transmission must lie in (0, 1], got {self.transmission}")
 
 
-def element_matrix(element, direction: str = "forward") -> np.ndarray:
-    """Lab-frame transfer matrix of ``element`` for the given direction.
+def element_matrix(element) -> np.ndarray:
+    """Lab-frame transfer matrix of ``element``.
 
-    Per the shared-lab-basis convention above, reciprocal elements return
-    transpose(forward) for the backward direction (a no-op for this
-    symmetric/diagonal catalogue) and the Faraday rotator returns its
-    forward matrix unchanged. The Eom has no fixed matrix: its matrix at
-    drive voltage V is diag(Eom.phase_factors(V)).
+    Both propagation directions share this matrix (see the convention
+    above): direction enters only through traversal order. The Eom has no
+    fixed matrix: its matrix at drive voltage V is diag(Eom.phase_factors(V)).
     """
-    if direction not in _DIRECTIONS:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if isinstance(element, HalfWavePlate):
         c = math.cos(2.0 * element.axis_angle)
         s = math.sin(2.0 * element.axis_angle)
-        m = np.array([[c, s], [s, -c]], dtype=complex)
-    elif isinstance(element, FaradayRotator):
-        return rotation(element.rotation)  # same lab sense both ways
-    elif isinstance(element, Mirror):
-        m = np.exp(1j * element.phase_offset) * np.eye(2, dtype=complex)
-    elif isinstance(element, LossElement):
-        m = math.sqrt(element.transmission) * np.eye(2, dtype=complex)
-    elif isinstance(element, Pbs):
-        raise ValueError("a Pbs has no single transfer matrix; use pbs_split / pbs_combine")
-    elif isinstance(element, Eom):
+        return np.array([[c, s], [s, -c]], dtype=complex)
+    if isinstance(element, FaradayRotator):
+        return rotation(element.rotation)
+    if isinstance(element, Mirror):
+        return np.exp(1j * element.phase_offset) * np.eye(2, dtype=complex)
+    if isinstance(element, LossElement):
+        return math.sqrt(element.transmission) * np.eye(2, dtype=complex)
+    if isinstance(element, Pbs):
+        raise ValueError("a Pbs has no single transfer matrix; use pbs_split / pbs_combine_ports")
+    if isinstance(element, Eom):
         raise ValueError("an Eom has no fixed transfer matrix; use diag(Eom.phase_factors(V))")
-    else:
-        raise TypeError(f"unknown optical element {element!r}")
-    return m.T if direction == "backward" else m
+    raise TypeError(f"unknown optical element {element!r}")
 
 
 def pbs_split(pbs: Pbs, s) -> tuple[np.ndarray, np.ndarray]:
@@ -254,9 +244,3 @@ def pbs_combine_ports(pbs: Pbs, from_transmit_arm, from_reflect_arm) -> tuple[np
     port_b = np.array([cr * x[0] - sr * y[0], ct * y[1] - st * x[1]])
     port_a = np.array([sr * x[0] + cr * y[0], st * y[1] + ct * x[1]])
     return port_b, port_a
-
-
-def pbs_combine(pbs: Pbs, from_transmit_arm, from_reflect_arm) -> np.ndarray:
-    """Exit-port state of ``pbs_combine_ports``; exact inverse of
-    ``pbs_split`` for the ideal element."""
-    return pbs_combine_ports(pbs, from_transmit_arm, from_reflect_arm)[0]

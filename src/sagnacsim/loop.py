@@ -1,9 +1,9 @@
 """Sagnac-loop topology: split at the PBS, counter-propagate, recombine.
 
 The clockwise beam is the PBS-transmitted (H) component and traverses
-``cw_path`` in list order with forward matrices; the counter-clockwise beam
-is the reflected (V) component and traverses the same elements in reverse
-with backward matrices. The default layout places a half-wave plate /
+``cw_path`` in list order; the counter-clockwise beam is the reflected (V)
+component and traverses the same elements, with the same lab-frame
+matrices, in reverse. The default layout places a half-wave plate /
 Faraday rotator pair on each side of the modulator crystal, oriented so the
 clockwise beam meets the wave plate first on both sides. Each such pair
 exchanges the H and V lines for the wave-plate-first direction and preserves
@@ -78,12 +78,12 @@ class LoopLayout:
     """One shared element list read in both directions.
 
     ``cw_path`` as seen by the clockwise beam; the counter-clockwise beam
-    reads it in reverse with backward matrices. ``output_port`` selects which
-    recombined output ``trace`` returns: "B", the exit port distinct from the
-    input (the default), or "A", the input-side return port. The layout's
-    ``crystal`` is its one modulator's. The compiled parts are not a field
-    of equality, hashing or ``dataclasses.replace``: a replaced layout
-    compiles anew.
+    reads it in reverse, with the same element matrices. ``output_port``
+    selects which recombined output ``trace`` returns: "B", the exit port
+    distinct from the input (the default), or "A", the input-side return
+    port. The layout's ``crystal`` is its one modulator's. The compiled
+    parts are not a field of equality, hashing or ``dataclasses.replace``:
+    a replaced layout compiles anew.
     """
 
     pbs: Pbs
@@ -152,17 +152,14 @@ def _compile(layout: LoopLayout) -> np.ndarray:
     """The loop's fixed parts, shape (Eom axis H/V, port B/A, 2, 2): column j
     of part [a, p] is port p's output for basis input j with the Eom replaced
     by the projector onto axis a."""
-    chains = [
-        [None if isinstance(el, Eom) else element_matrix(el, direction) for el in elements]
-        for direction, elements in (("forward", layout.cw_path), ("backward", layout.cw_path[::-1]))
-    ]
+    chain = [None if isinstance(el, Eom) else element_matrix(el) for el in layout.cw_path]
     splits = [pbs_split(layout.pbs, basis) for basis in (H, V)]
     parts = []
     for projector in _AXIS_PROJECTORS:
         cw, ccw = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
-        for m in chains[0]:
+        for m in chain:
             cw = (projector if m is None else m) @ cw
-        for m in chains[1]:
+        for m in reversed(chain):
             ccw = (projector if m is None else m) @ ccw
         # Indexed (input column, port, row), turned to (port, row, column).
         columns = [pbs_combine_ports(layout.pbs, cw @ t, ccw @ r) for t, r in splits]

@@ -29,7 +29,7 @@ from sagnacsim import (
     identity_infidelity,
     independence_scan,
     linear_state,
-    pbs_combine,
+    pbs_combine_ports,
     pbs_split,
     recovery_fraction,
     rotation,
@@ -222,7 +222,7 @@ def test_criterion_7_property_suites():
     for _ in range(n):
         theta = rng.uniform(-math.pi, math.pi)
         fr = FaradayRotator(theta)
-        round_trip = element_matrix(fr, "forward") @ element_matrix(fr, "backward")
+        round_trip = element_matrix(fr) @ element_matrix(fr)
         if np.max(np.abs(round_trip - rotation(2 * theta))) >= 1e-12:
             failures.append("fr non-reciprocity")
             break
@@ -246,12 +246,12 @@ def test_criterion_7_property_suites():
     for _ in range(n):
         s = random_state(rng)
         ideal = Pbs()
-        if np.max(np.abs(pbs_combine(ideal, *pbs_split(ideal, s)) - s)) >= 1e-12:
+        if np.max(np.abs(pbs_combine_ports(ideal, *pbs_split(ideal, s))[0] - s)) >= 1e-12:
             failures.append("pbs ideal round trip")
             break
         eps_t, eps_r = rng.uniform(0, 0.29), rng.uniform(0, 0.29)
         pbs = Pbs(extinction_t=eps_t, extinction_r=eps_r)
-        out = pbs_combine(pbs, *pbs_split(pbs, s))
+        out = pbs_combine_ports(pbs, *pbs_split(pbs, s))[0]
         expected = np.array([(1 - 2 * eps_r**2) * s[0], (1 - 2 * eps_t**2) * s[1]])
         if np.max(np.abs(out - expected)) >= 1e-12:
             failures.append("pbs leakage round trip")

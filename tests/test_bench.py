@@ -551,7 +551,7 @@ class TestTable1Report:
             assert rec.visibility == pytest.approx(1.0, abs=1e-9)
             assert rec.v_half_fit == pytest.approx(records[0].v_half_fit, abs=1e-9)
 
-    @pytest.mark.parametrize("v_max_halves, n", [(None, 2001), (1.5, 64), (3.7, 777)])
+    @pytest.mark.parametrize("v_max_halves, n", [(None, 2001), (2.0, 64), (3.7, 777)])
     def test_stacked_angles_equal_one_at_a_time(self, crystal, v_half, v_max_halves, n):
         v_max = None if v_max_halves is None else v_max_halves * v_half
         angles = (0.0, 0.3, math.pi / 4, math.pi / 2, 2.5)
@@ -566,6 +566,17 @@ class TestTable1Report:
             sweep_max = 2.0 * v_half if v_max is None else v_max
             want = [table1_report(setup, [a], sweep_max, n)[0] for a in angles]
             assert table1_report(setup, angles, v_max, n) == want
+
+    def test_sweep_shorter_than_one_fringe_period_refused(self, crystal, v_half):
+        # At fringe phase 0.6 pi a 0..1.5 V_half sweep holds one interior
+        # extremum, and the spacing fell back to the sweep's end point: the
+        # fit read 0.9 V_half. One full period always holds both extrema.
+        setup = MzSetup(build_default_loop(crystal), ref_arm=np.exp(0.6j * math.pi) * np.eye(2))
+        for halves in (1.5, 1.75, 1.999):
+            with pytest.raises(ValueError, match="need one fringe period"):
+                table1_report(setup, v_max=halves * v_half)
+        for rec in table1_report(setup, v_max=2.0 * v_half):
+            assert rec.v_half_fit == pytest.approx(v_half, rel=1e-3)
 
     def test_no_angles_give_no_records(self, ideal_setup):
         assert table1_report(ideal_setup, []) == []

@@ -94,8 +94,8 @@ class TestGateSchedule:
             GateSchedule((0.0, 0.5e-6), 1e-6)
 
     def test_periodic_builder(self):
-        g = GateSchedule.periodic(100e3, 3, 1e-6, start=2e-6)
-        np.testing.assert_allclose(g.on_times, (2e-6, 12e-6, 22e-6), rtol=1e-12)
+        g = GateSchedule.periodic(100e3, 3, 1e-6)
+        np.testing.assert_allclose(g.on_times, (0.0, 10e-6, 20e-6), rtol=1e-12)
 
     def test_needs_an_on_time(self):
         with pytest.raises(ValueError, match="at least one on time"):
@@ -137,9 +137,11 @@ class TestGateSchedule:
         with pytest.raises(ValueError, match="on_times must be non-negative"):
             GateSchedule((-1e-9,), 30e-9)
 
-    def test_periodic_start_before_zero_rejected(self):
-        with pytest.raises(ValueError, match="on_times must be non-negative"):
-            GateSchedule.periodic(1e6, 3, 1e-7, start=-1e-9)
+    def test_periodic_count_above_the_grid_cap_rejected(self):
+        # Refused before the on times are built: range(count) is never walked.
+        with mock.patch.object(circuit_module, "range", side_effect=AssertionError, create=True):
+            with pytest.raises(ValueError, match="pulses exceed"):
+                GateSchedule.periodic(1e5, circuit_module._MAX_SAMPLES + 1, 1e-6)
 
     def test_on_time_zero_starts_from_v_start(self):
         c = reference_circuit()

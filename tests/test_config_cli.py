@@ -319,6 +319,8 @@ class TestCli:
             # refuses the grid before anything is allocated.
             ("transient", ["--t-end", "1000", "--dt", "1e-14"], "allocate"),
             ("independence-scan", ["--sweep-max", "1e4"], "half-wave voltage"),
+            # 150 V is 1.55 V_half: less than one fringe period.
+            ("table1", ["--sweep-max", "150"], "need one fringe period"),
         ],
     )
     def test_runtime_error_exit_3(self, config_path, tmp_path, capsys, command, extra, message):

@@ -104,7 +104,7 @@ class TestCompiledLayout:
         counted = mock.Mock(wraps=loop_module.element_matrix)
         with mock.patch.object(loop_module, "element_matrix", counted):
             layout = build_default_loop(crystal, fr_angle=math.radians(40.0))
-            assert counted.call_count == 8  # four elements, both directions
+            assert counted.call_count == 4  # four elements, one matrix each
             counted.reset_mock()
             voltages = np.linspace(0.0, 2 * v_half, 11)
             for _ in range(3):

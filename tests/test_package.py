@@ -1,8 +1,10 @@
 """The package surface and the demos that use it."""
 
 import ast
+import inspect
 import runpy
 import types
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -40,19 +42,59 @@ def test_public_names_are_the_modules_all():
             assert getattr(sagnacsim, name) is getattr(module, name), name
 
 
+@cache
+def caller_nodes() -> tuple:
+    """Every AST node of every file in CALLERS."""
+    return tuple(
+        node for path in CALLERS for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
 def test_every_public_name_has_a_caller():
     # A name counts where it is read or looked up as an attribute; an import,
     # a docstring or an __all__ entry does not call it.
     used = set()
-    for path in CALLERS:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    for node in caller_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
     uncalled = set().union(*(m.__all__ for m in MODULES)) - used
     assert not uncalled - UNCALLED, f"public names with no caller: {sorted(uncalled - UNCALLED)}"
     assert UNCALLED <= uncalled  # a name that gains a caller leaves the list
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # A default that no caller overrides is a constant: the parameter goes.
+    # A call to a function of the same name sets a parameter by keyword, by
+    # enough positional arguments to reach it, or by ** unpacking.
+    calls = {}
+    for node in caller_nodes():
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            calls.setdefault(name, []).append(node)
+    unset = []
+    for module in MODULES:
+        for name in module.__all__:
+            value = getattr(module, name)
+            if not callable(value) or (isinstance(value, type) and issubclass(value, Exception)):
+                continue
+            callees = [(name, value)]
+            if isinstance(value, type):
+                callees += [
+                    (attr, getattr(value, attr))
+                    for attr, member in vars(value).items()
+                    if isinstance(member, classmethod) and not attr.startswith("_")
+                ]
+            for callee, function in callees:
+                for i, param in enumerate(inspect.signature(function).parameters.values()):
+                    if param.default is not param.empty and not any(
+                        len(call.args) > i
+                        or any(keyword.arg in (param.name, None) for keyword in call.keywords)
+                        for call in calls.get(callee, ())
+                    ):
+                        unset.append(f"{callee}.{param.name}")
+    assert not unset, f"defaulted parameters no caller sets: {unset}"
 
 
 # One line each demo prints, and the file it writes, if any.
