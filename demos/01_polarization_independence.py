@@ -55,14 +55,14 @@ print(f"  output Stokes: {np.round(stokes(out), 6)}")
 
 print("\nfull scan, 101 voltages over [0, 2 V_half]:")
 points = independence_scan(layout, np.linspace(0.0, 2 * v_half, 101))
-slope = (points[-1].global_phase - points[0].global_phase) / (2 * v_half)
+slope = (points.global_phase[-1] - points.global_phase[0]) / (2 * v_half)
 print(f"  unwrapped phase slope: {slope:.6f} rad/V (pi / V_half = {math.pi / v_half:.6f})")
-print(f"  worst infidelity: {max(p.infidelity for p in points):.2e}")
-print(f"  worst port-A leakage: {max(p.port_a_power for p in points):.2e}")
+print(f"  worst infidelity: {points.infidelity.max():.2e}")
+print(f"  worst port-A leakage: {points.port_a_power.max():.2e}")
 
 print("\nmisaligned optics break the symmetry (rotator 40 deg, plates 20 deg):")
 bad = build_default_loop(crystal, fr_angle=math.radians(40), hwp_angle=math.radians(20))
 m = device_matrix(bad, v_half)
 print(f"  infidelity at V_half: {scaled_identity_infidelity(m):.2e}")
 bad_points = independence_scan(bad, np.linspace(0.0, 2 * v_half, 101))
-print(f"  port-A leakage now up to {max(p.port_a_power for p in bad_points):.3f}")
+print(f"  port-A leakage now up to {bad_points.port_a_power.max():.3f}")

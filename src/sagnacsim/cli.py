@@ -81,9 +81,9 @@ def _run_device_matrix(cfg: SceneConfig) -> _Report:
 def _run_independence_scan(cfg: SceneConfig) -> _Report:
     layout = cfg.loop_layout()
     points = independence_scan(layout, _scan_voltages(cfg, layout))
-    worst = max(p.infidelity for p in points)
+    worst = points.infidelity.max()
     header = ["voltage_V", "phase_rad_unwrapped", "infidelity", "portA_power"]
-    return header, points, f"independence-scan: {len(points)} voltages, max_infidelity={worst:.3e}"
+    return header, points.tolist(), f"independence-scan: {len(points)} voltages, max_infidelity={worst:.3e}"
 
 
 def _run_table1(cfg: SceneConfig) -> _Report:

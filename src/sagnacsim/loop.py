@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +58,6 @@ from .polarization import (
 
 __all__ = [
     "LoopLayout",
-    "ScanPoint",
     "build_default_loop",
     "device_matrix",
     "device_matrix_batch",
@@ -69,6 +67,8 @@ __all__ = [
 ]
 
 _PORTS = ("B", "A")
+# The columns of an independence scan, one row per voltage.
+_SCAN_FIELDS = ("voltage", "global_phase", "infidelity", "port_a_power")
 # Modulator replaced by the projector onto its H, then its V axis.
 _AXIS_PROJECTORS = (np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j]))
 
@@ -205,25 +205,24 @@ def device_matrix_batch(layout: LoopLayout, voltages) -> np.ndarray:
     return _evaluate(layout, voltages, _PORTS.index(layout.output_port))
 
 
-class ScanPoint(NamedTuple):
-    voltage: float
-    global_phase: float
-    infidelity: float
-    port_a_power: float
+def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recarray:
+    """Phase and polarization-independence figures across a 1-D voltage list.
 
-
-def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> list[ScanPoint]:
-    """Phase and polarization-independence figures across a voltage list.
-
-    Per voltage: the unwrapped global phase of the device matrix, the
-    scale-invariant identity infidelity (zero for a pure global phase even
-    when the layout leaks power), and the input-averaged power returned to
-    port A, 0.5 * ||M_A||_F^2. For the ideal default layout the phase is
-    linear with slope pi / V_half and the infidelity vanishes. Consecutive
-    voltages must differ by less than V_half, the step at which the phase
-    moves by pi and unwrapping can no longer tell its direction.
+    One row per voltage, with the columns ``voltage``, ``global_phase`` (the
+    unwrapped global phase of the device matrix), ``infidelity`` (the
+    scale-invariant identity infidelity, zero for a pure global phase even
+    when the layout leaks power) and ``port_a_power`` (the input-averaged
+    power returned to port A, 0.5 * ||M_A||_F^2). Each column is also an
+    attribute of the whole scan, as an array: ``points.infidelity.max()``.
+    Hot code should read columns, not rows; reading one row builds a record.
+    For the ideal default layout the phase is linear with slope pi / V_half
+    and the infidelity vanishes. Consecutive voltages must differ by less
+    than V_half, the step at which the phase moves by pi and unwrapping can
+    no longer tell its direction.
     """
     voltages = np.asarray(voltages, dtype=float)
+    if voltages.ndim != 1:
+        raise ValueError(f"independence_scan needs a 1-D voltage list, got shape {voltages.shape}")
     if voltages.size == 0:
         raise ValueError("independence_scan needs a non-empty voltage list")
     ports = _evaluate(layout, voltages)
@@ -234,9 +233,4 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> list[Sca
     phases = np.unwrap(_canonical_phases(matrices)[0])
     infidelities = _scaled_identity_infidelities(matrices)
     leaks = 0.5 * np.sum(np.abs(ports[:, 1]) ** 2, axis=(1, 2))
-    # Four column lists and no list per row: each point allocates one object
-    # the garbage collector tracks (its ScanPoint), not two, so long scans
-    # start fewer collections. tuple.__new__ builds each ScanPoint from its
-    # zipped row in C, without the Python-level frame of ScanPoint._make.
-    columns = (voltages.tolist(), phases.tolist(), infidelities.tolist(), leaks.tolist())
-    return list(map(tuple.__new__, repeat(ScanPoint), zip(*columns)))
+    return np.rec.fromarrays((voltages, phases, infidelities, leaks), names=_SCAN_FIELDS)

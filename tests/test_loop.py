@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import warnings
 from pathlib import Path
@@ -250,6 +251,39 @@ class TestIndependenceScan:
     def test_empty_list_rejected(self, ideal):
         with pytest.raises(ValueError, match="non-empty"):
             independence_scan(ideal, [])
+
+    @pytest.mark.parametrize(
+        "voltages", [5.0, [[0.0, 1.0], [2.0, 3.0]], np.zeros((2, 2, 2))], ids=["0-D", "2-D", "3-D"]
+    )
+    def test_voltages_not_1d_rejected(self, ideal, voltages):
+        # Without the check numpy's own errors leak through ("diff requires
+        # input that is at least one dimensional", "cannot reshape array").
+        with pytest.raises(ValueError, match="1-D voltage list, got shape"):
+            independence_scan(ideal, voltages)
+
+    def test_columns_equal_their_rows(self, crystal, v_half):
+        layout = build_default_loop(crystal, fr_angle=math.radians(40.0))
+        points = independence_scan(layout, np.linspace(-v_half, 2 * v_half, 31))
+        for k in (0, 15, 30):
+            row = points[k]
+            assert points.voltage[k] == row.voltage
+            assert points.global_phase[k] == row.global_phase
+            assert points.infidelity[k] == row.infidelity
+            assert points.port_a_power[k] == row.port_a_power
+
+    def test_long_scan_builds_no_object_per_voltage(self, ideal, v_half):
+        # One tracked object per voltage would fill the young generation
+        # about a hundred times over and start full collections.
+        voltages = np.linspace(0.0, 2 * v_half, 100_001)
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            points = independence_scan(ideal, voltages)
+            grown = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert len(points) == len(voltages)
+        assert grown < 1000
 
     def test_ideal_phase_law(self, ideal, v_half):
         voltages = np.linspace(0.0, 2 * v_half, 41)
