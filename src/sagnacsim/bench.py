@@ -17,6 +17,23 @@ fringe visibilities at gamma and pulls the 45 degree visibility down to
 gamma |cos(delta / 2)|, the signature of losing the phase relationship
 between the two polarization components.
 
+The bench evaluates this formula in closed form. The loop's output port is
+M_dev(V) = f_H(V) P_H + f_V(V) P_V with fixed parts P_H, P_V and unit phase
+factors |f_H| = |f_V| = 1, so with a = P_H s, c = P_V s, r = gamma sqrt(b)
+M_ref s and <x, y> = sum_j conj(x_j) y_j each reading is
+
+  I(V) = C0 + Re(K_hv conj(f_H) f_V + K_h f_H + K_v f_V)
+  C0   = background + 1/4 (|a|^2 + |c|^2 + |r|^2)
+         + 1/8 (1 - gamma^2) (|a|^2 + |c|^2 + b |M_ref s|^2)
+  K_hv = (1/2 + 1/4 (1 - gamma^2)) <a, c>,  K_h = 1/2 <r, a>,  K_v = 1/2 <r, c>
+
+three coefficients and a constant per state, fixed before any voltage is
+read, and no 2x2 matrix per voltage. The law's rounding error is absolute,
+about 1e-16 of the bright fringe, so a reading near an exact dark fringe
+keeps fewer relative digits than its absolute value suggests; a reading is
+never below ``background``, which the exact law guarantees and the
+evaluator enforces.
+
 Visibility is (I_on - I_off) / (I_on + I_off) after background subtraction;
 the on/off contrast (1 + v) / (1 - v) is reported as a ratio and in dB.
 Note that a visibility quoted rounded to three digits implies a contrast
@@ -36,7 +53,7 @@ import numpy as np
 from . import circuit as _circuit
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
 from .elements import CrystalSpec, half_wave_voltage
-from .loop import LoopLayout, device_matrix_batch
+from .loop import _PORTS, LoopLayout
 from .polarization import _as_state, linear_state
 
 __all__ = [
@@ -121,26 +138,73 @@ class MeasurementRecord:
         return 10.0 * math.log10(self.contrast_ratio)
 
 
+def _fringe_coefficients(setup: MzSetup, states: list[np.ndarray]) -> np.ndarray:
+    """One row per input state: the fringe law's constant, then the real and
+    imaginary parts of K_hv, K_h and K_v. Each row is worked out in Python
+    scalars from its own state alone, so it does not depend on the states
+    stacked with it."""
+    loop = setup.loop
+    part_h, part_v = loop._parts[:, _PORTS.index(loop.output_port)].tolist()
+    ref_arm = setup.ref_arm.tolist()
+    gamma, imbalance = setup.mode_overlap, setup.arm_imbalance
+    scale = gamma * math.sqrt(imbalance)
+    partial = 1.0 - gamma**2
+
+    def inner(x, y):  # sum_j conj(x_j) y_j
+        return x[0].conjugate() * y[0] + x[1].conjugate() * y[1]
+
+    rows = []
+    for s0, s1 in (s.tolist() for s in states):
+        a, c, ref = ((m[0][0] * s0 + m[0][1] * s1, m[1][0] * s0 + m[1][1] * s1)
+                     for m in (part_h, part_v, ref_arm))
+        r = (scale * ref[0], scale * ref[1])
+        power_a, power_c, power_r, power_ref = (inner(x, x).real for x in (a, c, r, ref))
+        constant = (
+            setup.background
+            + 0.25 * (power_a + power_c + power_r)
+            + 0.125 * partial * (power_a + power_c + imbalance * power_ref)
+        )
+        k_hv = (0.5 + 0.25 * partial) * inner(a, c)
+        k_h = 0.5 * inner(r, a)
+        k_v = 0.5 * inner(r, c)
+        rows.append((constant, k_hv.real, k_hv.imag, k_h.real, k_h.imag, k_v.real, k_v.imag))
+    return np.array(rows).reshape(-1, 7)
+
+
 def _intensities(setup: MzSetup, states, voltages) -> np.ndarray:
     """Detected power of each input state at each drive voltage, shape
-    (len(states), len(voltages)). The voltages go through the loop in the
-    driver's blocks, and each block's device matrices act on all the states
-    at once; a reading that overflows a float is refused."""
-    rows = np.array([_as_state(s) for s in states], dtype=complex).reshape(-1, 2)
-    # A stack of matrix-vector products rounds as ref_arm @ s does for each s;
-    # one matrix-matrix product would not.
-    refs = math.sqrt(setup.arm_imbalance) * (setup.ref_arm @ rows[..., None]).reshape(-1, 1, 2)
-    gamma = setup.mode_overlap
-    out = np.empty((len(rows), len(voltages)))
+    (len(states), len(voltages)), by the fringe law of the module docstring.
+
+    Per state, the constant and the three coefficients are fixed before any
+    voltage is read; per voltage, the reading is the constant plus the real
+    parts of three phase-factor terms, taken in real arithmetic
+    (K.real * f.real - K.imag * f.imag): numpy's complex multiply rounds
+    differently in its vectorized and its scalar loop, so a complex product
+    would make a reading depend on the block it falls in. Each reading is
+    clamped at ``background``, the law's exact floor, which rounding can
+    undercut by about 1e-16 of the bright fringe. The voltages are walked in
+    the driver's blocks, so the memory beyond the readings stays one block's
+    worth; a reading that overflows a float is refused."""
+    voltages = np.asarray(voltages, dtype=float)
+    states = [_as_state(s) for s in states]
+    out = np.empty((len(states), len(voltages)))
     block = _circuit._BLOCK
+    eom = setup.loop.eom
     with np.errstate(over="ignore", invalid="ignore"):
-        ref_power = np.sum(np.abs(refs) ** 2, axis=2)
-        for a in range(0, len(voltages), block):
-            matrices = device_matrix_batch(setup.loop, voltages[a : a + block])
-            dev = np.einsum("vij,kj->kvi", matrices, rows)
-            coherent = 0.25 * np.sum(np.abs(dev + gamma * refs) ** 2, axis=2)
-            incoherent = 0.125 * (1.0 - gamma**2) * (np.sum(np.abs(dev) ** 2, axis=2) + ref_power)
-            out[:, a : a + block] = setup.background + coherent + incoherent
+        # Each a column of one value per state.
+        constant, hv_re, hv_im, h_re, h_im, v_re, v_im = _fringe_coefficients(setup, states).T[..., None]
+        for lo in range(0, len(voltages), block):
+            f_h, f_v = eom.phase_factors(voltages[lo : lo + block])
+            hr, hi, vr, vi = f_h.real, f_h.imag, f_v.real, f_v.imag
+            g_re = hr * vr + hi * vi  # conj(f_H) f_V
+            g_im = hr * vi - hi * vr
+            out[:, lo : lo + block] = (
+                constant
+                + (hv_re * g_re - hv_im * g_im)
+                + (h_re * hr - h_im * hi)
+                + (v_re * vr - v_im * vi)
+            )
+        np.maximum(out, setup.background, out=out)
     if not np.all(np.isfinite(out)):
         raise ValueError("detected power overflows a float: input state or reference arm too strong")
     return out

@@ -177,14 +177,18 @@ class SceneConfig:
             raise ConfigError(f"[loop]: {exc}") from None
 
     def mz_setup(self) -> MzSetup:
+        loop = self.loop_layout()
         mz = self.mz
-        return MzSetup(
-            loop=self.loop_layout(),
-            ref_arm=np.diag([1.0, np.exp(1j * math.radians(mz.ref_phase_deg))]),
-            mode_overlap=mz.mode_overlap,
-            background=mz.background,
-            arm_imbalance=mz.arm_imbalance,
-        )
+        try:
+            return MzSetup(
+                loop=loop,
+                ref_arm=np.diag([1.0, np.exp(1j * math.radians(mz.ref_phase_deg))]),
+                mode_overlap=mz.mode_overlap,
+                background=mz.background,
+                arm_imbalance=mz.arm_imbalance,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[mz]: {exc}") from None
 
     def drive_circuit(self) -> DriveCircuit:
         if self.circuit is None:

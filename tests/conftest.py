@@ -1,6 +1,6 @@
 """Shared helpers: reference hardware values, random generators, an
-independently coded brute-force oracle for the loop transfer matrix, and an
-ODE oracle for the driver transient."""
+independently coded brute-force oracle for the loop transfer matrix and the
+Mach-Zehnder fringe built on it, and an ODE oracle for the driver transient."""
 
 from __future__ import annotations
 
@@ -104,6 +104,30 @@ def oracle_device_matrix(layout: LoopLayout, voltage: float) -> np.ndarray:
         port_a = np.array([sr * x[0] + cr * y[0], st * y[1] + ct * x[1]])
         columns.append(port_b if layout.output_port == "B" else port_a)
     return np.column_stack(columns)
+
+
+def oracle_fringe(setup, state, voltages) -> np.ndarray:
+    """Detected power of ``state`` at each of ``voltages`` by the bench's
+    formula, written out on its own:
+
+      I = background + 1/4 ||M s + gamma sqrt(b) R s||^2
+          + 1/8 (1 - gamma^2) (||M s||^2 + b ||R s||^2)
+
+    with M the brute-force device matrix at each voltage, R the reference
+    arm, gamma the mode overlap and b the arm imbalance; every squared norm
+    is an explicit sum over the two components."""
+    s = np.asarray(state, dtype=complex)
+    gamma, b = setup.mode_overlap, setup.arm_imbalance
+    ref = np.asarray(setup.ref_arm) @ s
+    readings = []
+    for v in voltages:
+        dev = oracle_device_matrix(setup.loop, float(v)) @ s
+        coherent = sum(abs(dev[j] + gamma * math.sqrt(b) * ref[j]) ** 2 for j in range(2))
+        power_dev = sum(abs(dev[j]) ** 2 for j in range(2))
+        power_ref = sum(abs(ref[j]) ** 2 for j in range(2))
+        incoherent = (1.0 - gamma**2) * (power_dev + b * power_ref)
+        readings.append(setup.background + coherent / 4.0 + incoherent / 8.0)
+    return np.array(readings)
 
 
 def ode_oracle(circuit, gates, t_end: float, dt: float, v_start: float) -> np.ndarray:

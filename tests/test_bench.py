@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from sagnacsim import (
@@ -33,7 +34,14 @@ from sagnacsim import bench
 from sagnacsim import circuit as circuit_module
 from sagnacsim.bench import _brent
 
-from conftest import ode_oracle, reference_crystal
+from conftest import (
+    ode_oracle,
+    oracle_fringe,
+    random_imperfect_layout,
+    random_state,
+    random_unitary,
+    reference_crystal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +186,44 @@ class TestMzIntensity:
         default = sweep_curve(ideal_setup, linear_state(0.3), None, 65)
         np.testing.assert_array_equal(default[0], voltages)
         np.testing.assert_array_equal(default[1], intensities)
+
+
+class TestFringeLawProperties:
+    """The bench's closed-form fringe law against the oracle fringe, over
+    generated imperfect layouts at both ports and imperfect interferometers."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        port=st.sampled_from(["B", "A"]),
+        gamma=st.floats(0.0, 1.0),
+        background=st.floats(0.0, 2.0),
+        imbalance=st.floats(0.05, 20.0),
+        v_max_halves=st.floats(-3.0, 3.0),
+        n=st.integers(0, 24),
+    )
+    def test_sweep_curve_matches_oracle(self, seed, port, gamma, background, imbalance, v_max_halves, n):
+        rng = np.random.default_rng(seed)
+        layout = replace(random_imperfect_layout(rng), output_port=port)
+        # A lossy reference arm that mixes H and V.
+        ref_arm = rng.uniform(0.3, 1.0) * random_unitary(rng)
+        setup = MzSetup(layout, ref_arm, gamma, background, imbalance)
+        state = rng.uniform(0.5, 2.0) * random_state(rng)
+        v_max = v_max_halves * half_wave_voltage(layout.crystal)
+        voltages, intensities = sweep_curve(setup, state, v_max, n)
+        assert len(intensities) == n
+        np.testing.assert_allclose(intensities, oracle_fringe(setup, state, voltages), rtol=0, atol=1e-12)
+        assert np.all(intensities >= background)
+
+    @pytest.mark.parametrize("background", [0.0, 1e-3, 0.25])
+    def test_dark_fringe_never_reads_below_background(self, crystal, v_half, background):
+        # The exact law reaches the background at the ideal dark fringe.
+        # Unclamped, its rounding read 5.5e-17 below a 1e-3 background at 120
+        # degrees, and a negative corrected reading gives a negative contrast.
+        setup = MzSetup(build_default_loop(crystal), background=background)
+        for angle in np.linspace(0.0, math.pi, 7):
+            intensities = sweep_curve(setup, linear_state(angle), 4 * v_half, 2001)[1]
+            assert background <= intensities.min() <= background + 1e-15
 
 
 class TestSawtoothSweep:

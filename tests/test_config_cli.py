@@ -357,6 +357,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "[loop]" in err and key in err
 
+    @pytest.mark.parametrize("command", ["table1", "transient"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("mode_overlap = 2", "mode_overlap must lie in [0, 1]"),
+            ("arm_imbalance = -1", "arm_imbalance must be positive"),
+            ("background = -0.5", "background must be finite and non-negative"),
+        ],
+        ids=["mode_overlap", "arm_imbalance", "background"],
+    )
+    def test_bad_mz_value_exit_2(self, tmp_path, capsys, command, line, message):
+        # A value outside its key's range is a configuration error, and the
+        # message names its section, as for [loop].
+        bad = tmp_path / "bad.ini"
+        bad.write_text(IDEAL_TEXT.replace("[mz]\n", f"[mz]\n{line}\n"))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [mz]: ")
+        assert message in err
+        assert not out.exists()
+
     def test_fractional_samples_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(IDEAL_TEXT + "\n[scan]\nsamples = 2.7\n")
