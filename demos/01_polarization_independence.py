@@ -22,7 +22,6 @@ from sagnacsim import (
     normalize,
     scaled_identity_infidelity,
     stokes,
-    trace,
 )
 
 crystal = CrystalSpec(
@@ -49,7 +48,7 @@ for frac in (0.0, 0.25, 0.5, 1.0, 1.5):
 
 print("\na random elliptical state passes unchanged (up to the global phase):")
 state = normalize(np.array([0.6, 0.8j * np.exp(0.3j)]))
-out = trace(layout, state, 0.7 * v_half)
+out = device_matrix(layout, 0.7 * v_half) @ state
 print(f"  input  Stokes: {np.round(stokes(state), 6)}")
 print(f"  output Stokes: {np.round(stokes(out), 6)}")
 

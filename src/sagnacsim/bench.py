@@ -320,12 +320,12 @@ def switching_trace(
     half-wave voltage toward the bright fringe).
     """
     voltage = simulate(circuit, gates, t_end, dt, v_start=circuit.supply_voltage)
-    intensity = Waveform(voltage.t0, voltage.dt, _intensities(setup, [state], voltage.samples)[0])
+    intensity = Waveform(voltage.dt, _intensities(setup, [state], voltage.samples)[0])
     # Direction of the first switching edge, judged over the first conduction
     # window (the later recharge swings the trace back the other way).
     window_end = _circuit._segments(circuit, gates)[3][0]
     n = len(intensity.samples)
-    k = bisect_left(range(n), min(window_end, t_end), key=lambda k: intensity.t0 + k * dt)
+    k = bisect_left(range(n), min(window_end, t_end), key=lambda k: k * dt)
     rising = intensity.samples[min(max(k - 1, 1), n - 1)] >= intensity.samples[0]
     edge = edge_time_10_90(intensity, falling=not rising)
     return SwitchingTrace(voltage=voltage, intensity=intensity, optical_10_90=edge)

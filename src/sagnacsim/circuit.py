@@ -22,7 +22,7 @@ Physics 3, 85 (1989).
 The discharge is fast (tau_d ~ ns) while the recharge is slow (tau_r ~ us),
 which is what limits the repetition rate of the switch.
 
-Sample k of a waveform lies at time t0 + k * dt; the simulation and the edge
+Sample k of a waveform lies at time k * dt; the simulation and the edge
 finder address samples by that grid index and never build an array of times.
 Both walk the samples in fixed blocks that fit in a core's L2 cache.
 ``simulate``'s output starts empty, and its block walk is the only pass
@@ -177,14 +177,13 @@ def _finite_range(block: np.ndarray, previous: tuple | None = None) -> tuple:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Uniformly sampled trace (voltage or intensity) starting at ``t0``.
+    """Uniformly sampled trace (voltage or intensity) starting at t = 0.
 
-    The samples must be finite. Their range (min, max) is taken once, when
-    the waveform is built; an empty waveform has the range (0, 0).
+    The samples must be a finite 1-D array. Their range (min, max) is taken
+    once, when the waveform is built; an empty waveform has the range (0, 0).
     ``samples`` is a read-only copy of the array passed in, so no write to
     that array, or through ``samples``, can leave the range stale."""
 
-    t0: float
     dt: float
     samples: np.ndarray
     _range: tuple = field(init=False, repr=False, compare=False)
@@ -193,24 +192,26 @@ class Waveform:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         samples = np.array(self.samples, dtype=float)
+        if samples.ndim != 1:
+            raise ValueError(f"waveform samples must be 1-D, got shape {samples.shape}")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "_range", _finite_range(samples) if samples.size else (0.0, 0.0))
 
     @classmethod
-    def _owned(cls, t0: float, dt: float, samples: np.ndarray, bounds: tuple) -> Waveform:
+    def _owned(cls, dt: float, samples: np.ndarray, bounds: tuple) -> Waveform:
         """A waveform over ``samples``, an array the library built and holds no
         other reference to, with ``bounds`` its range from ``_finite_range``:
         no copy and no pass over the samples."""
         samples.setflags(write=False)
         waveform = object.__new__(cls)
-        for name, value in (("t0", t0), ("dt", dt), ("samples", samples), ("_range", bounds)):
+        for name, value in (("dt", dt), ("samples", samples), ("_range", bounds)):
             object.__setattr__(waveform, name, value)
         return waveform
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.samples))
+        return self.dt * np.arange(len(self.samples))
 
 
 # Rybicki's sum: F(x) = pi^-1/2 sum over odd n of exp(-(x - n h)^2) / n, exact
@@ -379,7 +380,7 @@ def simulate(
         # The segment's end value starts the next one (unused after the last
         # segment, where end is inf).
         v0 = float(evaluate(v0, np.array([end - start]))[0])
-    return Waveform._owned(0.0, dt, samples, bounds)
+    return Waveform._owned(dt, samples, bounds)
 
 
 def recovery_fraction(circuit: DriveCircuit, repetition_rate: float, hold_duration: float) -> float:
@@ -432,8 +433,8 @@ def edge_time_10_90(waveform: Waveform, falling: bool) -> float:
                 break
         else:
             raise ValueError(f"no edge found: {which} threshold never crossed")
-        t_prev = waveform.t0 + waveform.dt * (k - 1)
-        t_k = waveform.t0 + waveform.dt * k
+        t_prev = waveform.dt * (k - 1)
+        t_k = waveform.dt * k
         frac = (level - values[k - 1]) / (values[k] - values[k - 1])
         return k, float(t_prev + frac * (t_k - t_prev))
 

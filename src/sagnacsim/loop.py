@@ -22,6 +22,7 @@ parts read-only; so an element without a transfer matrix fails there, and
 evaluating a layout builds no element matrix. Every public entry point maps
 its voltages through ``_evaluate``: ``device_matrix_batch`` for the layout's
 output port only, ``trace_ports`` and ``independence_scan`` for both ports.
+The state leaving the output port is ``device_matrix(layout, V) @ state``.
 
 The modulator sits at the midpoint index of the path; that placement matters
 for the timing symmetry of the two beams in the physical device, not for the
@@ -50,7 +51,6 @@ from .elements import (
 from .polarization import (
     H,
     V,
-    _as_normalized_state,
     _as_state,
     _canonical_phases,
     _scaled_identity_infidelities,
@@ -62,7 +62,6 @@ __all__ = [
     "device_matrix",
     "device_matrix_batch",
     "independence_scan",
-    "trace",
     "trace_ports",
 ]
 
@@ -79,9 +78,9 @@ class LoopLayout:
 
     ``cw_path`` as seen by the clockwise beam; the counter-clockwise beam
     reads it in reverse, with the same element matrices. ``output_port``
-    selects which recombined output ``trace`` returns: "B", the exit port
-    distinct from the input (the default), or "A", the input-side return
-    port. The layout's ``crystal`` is its one modulator's. The compiled
+    selects the recombined output that ``device_matrix`` describes: "B", the
+    exit port distinct from the input (the default), or "A", the input-side
+    return port. The layout's ``crystal`` is its one modulator's. The compiled
     parts are not a field of equality, hashing or ``dataclasses.replace``:
     a replaced layout compiles anew.
     """
@@ -187,17 +186,11 @@ def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.nda
     return tuple(_evaluate(layout, drive_voltage) @ _as_state(state))
 
 
-def trace(layout: LoopLayout, state, drive_voltage: float) -> np.ndarray:
-    """State at the layout's output port for a normalized input state."""
-    state = _as_normalized_state(state)
-    return trace_ports(layout, state, drive_voltage)[_PORTS.index(layout.output_port)]
-
-
 def device_matrix(layout: LoopLayout, drive_voltage: float) -> np.ndarray:
     """Effective 2x2 transfer matrix of the loop at one drive voltage.
 
-    Columns are the traced outputs for H and V inputs; by linearity the trace
-    of any superposition equals this matrix applied to it.
+    Columns are the outputs for H and V inputs; by linearity the output for
+    any superposition is this matrix applied to it.
     """
     return device_matrix_batch(layout, drive_voltage)
 

@@ -71,16 +71,6 @@ def _rescaled(x: np.ndarray) -> np.ndarray:
     return x.real / top + 1j * (x.imag / top) if top else x
 
 
-def _as_normalized_state(s) -> np.ndarray:
-    """``_as_state`` for an input that must carry unit power (to 1e-6)."""
-    s = _as_state(s)
-    norm = _norm(s)
-    norm2 = norm * norm
-    if abs(norm2 - 1.0) > 1e-6:
-        raise ValueError(f"expected a normalized input state, got norm^2 = {norm2}")
-    return s
-
-
 def _as_transform(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
@@ -92,6 +82,8 @@ def _as_transform(m) -> np.ndarray:
 
 def linear_state(angle: float) -> np.ndarray:
     """Unit-norm linearly polarized state at ``angle`` radians from H."""
+    if not math.isfinite(angle):
+        raise ValueError(f"linear polarization angle must be finite, got {angle}")
     return np.array([math.cos(angle), math.sin(angle)], dtype=complex)
 
 
@@ -109,6 +101,8 @@ def normalize(s) -> np.ndarray:
 
 def rotation(theta: float) -> np.ndarray:
     """Rotation of the transverse plane by ``theta`` radians (H toward V)."""
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle theta must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
 

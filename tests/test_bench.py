@@ -6,11 +6,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from sagnacsim import (
     DriveCircuit,
+    Eom,
     GateSchedule,
     InfiniteContrastError,
     MeasurementRecord,
@@ -24,6 +25,7 @@ from sagnacsim import (
     half_wave_voltage,
     insertion_loss,
     linear_state,
+    LoopLayout,
     sweep_curve,
     switching_trace,
     table1_report,
@@ -214,6 +216,50 @@ class TestFringeLawProperties:
         assert len(intensities) == n
         np.testing.assert_allclose(intensities, oracle_fringe(setup, state, voltages), rtol=0, atol=1e-12)
         assert np.all(intensities >= background)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        port=st.sampled_from(["B", "A"]),
+        gamma=st.floats(0.0, 1.0),
+        background=st.floats(0.0, 2.0),
+        imbalance=st.floats(0.05, 20.0),
+        v_max_halves=st.floats(2.0, 4.0),
+        n=st.integers(64, 4001),
+        angles=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
+    )
+    def test_table1_records_within_the_grid_bias(
+        self, seed, port, gamma, background, imbalance, v_max_halves, n, angles
+    ):
+        # With no residual phase on the modulator's other axis each fringe is
+        # c0 + |c1| cos(pi V / V_half + arg c1). The grid holds a sample within
+        # half a step in phase of each exact extremum, which bounds the read
+        # extrema, and the fitted spacing is off by at most one step.
+        rng = np.random.default_rng(seed)
+        layout = random_imperfect_layout(rng)
+        path = tuple(
+            replace(e, residual_orthogonal_phase=0.0) if isinstance(e, Eom) else e
+            for e in layout.cw_path
+        )
+        layout = LoopLayout(layout.pbs, path, port)
+        setup = MzSetup(layout, rng.uniform(0.3, 1.0) * random_unitary(rng), gamma, background, imbalance)
+        v_half = half_wave_voltage(layout.crystal)
+        v_max = v_max_halves * v_half
+        step = v_max / (n - 1)
+        fringes = []
+        for angle in angles:
+            # I(0) = c0 + Re c1, I(V_half / 2) = c0 - Im c1, I(V_half) = c0 - Re c1.
+            bright, quarter, dark = oracle_fringe(setup, linear_state(angle), [0.0, v_half / 2, v_half])
+            c0 = (bright + dark) / 2.0
+            c1 = complex((bright - dark) / 2.0, c0 - quarter)
+            assume(abs(c1) >= 1e-6 * c0)
+            fringes.append((c0 - background, abs(c1)))
+        records = table1_report(setup, angles, v_max, n)
+        for record, (middle, amplitude) in zip(records, fringes):
+            bound = amplitude * (1.0 - math.cos(math.pi * step / v_half / 2.0)) + 1e-12
+            assert abs(record.i_on - (middle + amplitude)) <= bound
+            assert abs(record.i_off - (middle - amplitude)) <= bound
+            assert abs(record.v_half_fit - v_half) <= step
 
     @pytest.mark.parametrize("background", [0.0, 1e-3, 0.25])
     def test_dark_fringe_never_reads_below_background(self, crystal, v_half, background):
@@ -516,7 +562,7 @@ class TestSwitchingTrace:
         r_on = fit_mosfet_on_r(setup, state, scene.drive_circuit(), gates, tr.t_end, tr.dt, 1.6e-9)
         circuit = replace(scene.drive_circuit(), mosfet_on_r=r_on)
         voltage = ode_oracle(circuit, gates, tr.t_end, tr.dt, circuit.supply_voltage)
-        intensity = Waveform(0.0, tr.dt, bench._intensities(setup, [state], np.asarray(voltage))[0])
+        intensity = Waveform(tr.dt, bench._intensities(setup, [state], np.asarray(voltage))[0])
         edge = edge_time_10_90(intensity, falling=False)
         want = switching_trace(setup, state, circuit, gates, tr.t_end, tr.dt).optical_10_90
         assert edge == pytest.approx(want, abs=1e-12)

@@ -26,7 +26,6 @@ from sagnacsim import (
     independence_scan,
     linear_state,
     scaled_identity_infidelity,
-    trace,
     trace_ports,
 )
 from sagnacsim import loop as loop_module
@@ -111,7 +110,6 @@ class TestCompiledLayout:
             for _ in range(3):
                 device_matrix_batch(layout, voltages)
                 device_matrix(layout, v_half)
-                trace(layout, linear_state(0.3), v_half)
                 trace_ports(layout, H, v_half)
                 independence_scan(layout, voltages)
         assert counted.call_count == 0
@@ -140,29 +138,25 @@ class TestCompiledLayout:
 
 
 class TestTrace:
+    """A state traced through the loop: ``device_matrix(layout, V) @ s``."""
+
     def test_identity_at_zero_volts(self, ideal):
         rng = np.random.default_rng(101)
         for _ in range(50):
             s = random_state(rng)
-            out = trace(ideal, s, 0.0)
+            out = device_matrix(ideal, 0.0) @ s
             # same state up to (here: zero) global phase
             np.testing.assert_allclose(out, s, atol=1e-12)
 
     def test_half_wave_global_phase(self, ideal, v_half):
         s = linear_state(math.pi / 4)
-        out = trace(ideal, s, v_half)
+        out = device_matrix(ideal, v_half) @ s
         np.testing.assert_allclose(out, np.exp(1j * math.pi) * s, atol=1e-10)
 
     def test_relative_phase_unchanged(self, ideal, v_half):
         s = np.array([0.6, 0.8j])
-        out = trace(ideal, s, v_half)
+        out = device_matrix(ideal, v_half) @ s
         np.testing.assert_allclose(out[1] / out[0], s[1] / s[0], atol=1e-10)
-
-    def test_requires_normalized_input(self, ideal):
-        with pytest.raises(ValueError, match="normalized"):
-            trace(ideal, np.array([2.0, 0.0]), 0.0)
-        with pytest.raises(ValueError, match="normalized"):
-            trace(ideal, np.array([1e200, 0.0]), 0.0)  # its power overflows
 
     def test_linearity(self, ideal, v_half):
         rng = np.random.default_rng(102)
@@ -170,7 +164,7 @@ class TestTrace:
             m = device_matrix(ideal, v)
             for _ in range(20):
                 s = random_state(rng)
-                np.testing.assert_allclose(trace(ideal, s, v), m @ s, atol=1e-12)
+                np.testing.assert_allclose(trace_ports(ideal, s, v)[0], m @ s, atol=1e-12)
 
     def test_random_states_gain_only_global_phase(self, ideal, v_half):
         rng = np.random.default_rng(106)
@@ -178,7 +172,7 @@ class TestTrace:
             s = random_state(rng)
             v = rng.uniform(0.0, 2 * v_half)
             expected = np.exp(1j * math.pi * v / v_half) * s
-            assert np.max(np.abs(trace(ideal, s, v) - expected)) < 1e-10
+            assert np.max(np.abs(device_matrix(ideal, v) @ s - expected)) < 1e-10
 
     def test_power_conserved_and_port_a_dark(self, ideal, v_half):
         rng = np.random.default_rng(103)
@@ -322,23 +316,22 @@ class TestNonFiniteVoltage:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda layout, v: trace(layout, linear_state(0.0), v),
             lambda layout, v: trace_ports(layout, linear_state(0.3), v),
             device_matrix,
             lambda layout, v: device_matrix_batch(layout, [0.0, v, 1.0]),
             # without the check, every unwrapped phase after a NaN row is NaN too
             lambda layout, v: independence_scan(layout, [0.0, v, 1.0]),
         ],
-        ids=["trace", "trace_ports", "device_matrix", "device_matrix_batch", "independence_scan"],
+        ids=["trace_ports", "device_matrix", "device_matrix_batch", "independence_scan"],
     )
     def test_every_entry_point_rejects(self, ideal, call, bad):
         with pytest.raises(ValueError, match="finite"):
             call(ideal, bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("call", [trace, trace_ports])
+    @pytest.mark.parametrize("call", [trace_ports])
     def test_every_entry_point_rejects_a_non_finite_state(self, ideal, call, bad):
-        # Without the check both return NaN: abs(nan - 1) > 1e-6 is False.
+        # Without the check it returns NaN.
         with pytest.raises(ValueError, match="state must be finite"):
             call(ideal, [bad, 0.0], 0.0)
 

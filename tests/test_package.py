@@ -15,18 +15,19 @@ from sagnacsim import bench, circuit, config, elements, loop, polarization
 MODULES = (bench, circuit, config, elements, loop, polarization)
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
+SOURCES = sorted((ROOT / "src" / "sagnacsim").glob("*.py"))
 
 # The code whose calls keep a public name: the package, the demos, the
 # acceptance suite, the test oracles and the benchmark workloads.
 CALLERS = (
-    *sorted((ROOT / "src" / "sagnacsim").glob("*.py")),
+    *SOURCES,
     *sorted(DEMOS.glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
     ROOT / "tests" / "conftest.py",
     ROOT / "perfbench" / "workloads.py",
 )
 # Public with no caller yet: the contract fuzzer and the run record planned
-# in ROADMAP.md (items 5 and 6) render scenes with it.
+# in ROADMAP.md (items 7 and 8) render scenes with it.
 UNCALLED = {"render_config"}
 
 
@@ -43,22 +44,46 @@ def test_public_names_are_the_modules_all():
 
 
 @cache
+def caller_trees() -> tuple:
+    """The parsed source of every file in CALLERS."""
+    return tuple(ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS)
+
+
 def caller_nodes() -> tuple:
     """Every AST node of every file in CALLERS."""
-    return tuple(
-        node for path in CALLERS for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-    )
+    return tuple(node for tree in caller_trees() for node in ast.walk(tree))
+
+
+def module_names(tree) -> set:
+    """The names an import in ``tree`` binds to the package or one of its
+    modules: ``sagnacsim``, ``loop``, ``_circuit``, ``circuit_module``."""
+    modules = {path.stem for path in SOURCES}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] == "sagnacsim"
+            )
+        elif isinstance(node, ast.ImportFrom) and (node.module == "sagnacsim" or node.level and not node.module):
+            names.update(alias.asname or alias.name for alias in node.names if alias.name in modules)
+    return names
 
 
 def test_every_public_name_has_a_caller():
-    # A name counts where it is read or looked up as an attribute; an import,
-    # a docstring or an __all__ entry does not call it.
+    # A name counts where it is read, or looked up as an attribute of a
+    # sagnacsim module that the same file imports (``loop.device_matrix``).
+    # An import, a docstring, an __all__ entry or an attribute of anything
+    # else (``cfg.trace``, ``element.rotation``) does not call it.
     used = set()
-    for node in caller_nodes():
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+    for tree in caller_trees():
+        modules = module_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                used.add(node.attr)
     uncalled = set().union(*(m.__all__ for m in MODULES)) - used
     assert not uncalled - UNCALLED, f"public names with no caller: {sorted(uncalled - UNCALLED)}"
     assert UNCALLED <= uncalled  # a name that gains a caller leaves the list
@@ -97,22 +122,25 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     assert not unset, f"defaulted parameters no caller sets: {unset}"
 
 
-# One line each demo prints, and the file it writes, if any.
+# Lines each demo prints, and the file it writes, if any.
 DEMO_OUTPUTS = {
-    "01_polarization_independence.py": (
-        "  unwrapped phase slope: 0.032564 rad/V (pi / V_half = 0.032564)", None),
+    "01_polarization_independence.py": ((
+        "  output Stokes: [ 1.       -0.28     -0.283699  0.917123]",
+        "  unwrapped phase slope: 0.032564 rad/V (pi / V_half = 0.032564)",
+    ), None),
     "02_switch_contrast_table.py": (
-        "          45 |          96.48 |     0.9330 |   28.9 (14.6)", "sweep_45deg.csv"),
-    "03_switching_transient.py": ("optical 10-90 after the fit: 1.600 ns", "switching_trace.csv"),
+        ("          45 |          96.48 |     0.9330 |   28.9 (14.6)",), "sweep_45deg.csv"),
+    "03_switching_transient.py": (("optical 10-90 after the fit: 1.600 ns",), "switching_trace.csv"),
     "04_repetition_rate.py": (
-        "running at 100 kHz keeps the full half-wave swing: 0.99988 of the supply", None),
+        ("running at 100 kHz keeps the full half-wave swing: 0.99988 of the supply",), None),
 }
 
 
 @pytest.mark.parametrize("script", sorted(DEMO_OUTPUTS))
 def test_demo_runs(script, tmp_path, monkeypatch, capsys):
-    line, written = DEMO_OUTPUTS[script]
+    lines, written = DEMO_OUTPUTS[script]
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / script), run_name="__main__")
-    assert line in capsys.readouterr().out.splitlines()
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line not in printed] == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ([written] if written else [])

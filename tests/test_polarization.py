@@ -8,6 +8,7 @@ from sagnacsim import (
     HalfWavePlate,
     global_phase_decompose,
     identity_infidelity,
+    linear_state,
     normalize,
     rotation,
     scaled_identity_infidelity,
@@ -80,6 +81,14 @@ class TestApplyCompose:
         # Without the check these return NaN with a numpy warning.
         with pytest.raises(ValueError, match="transform must be finite"):
             call(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [linear_state, rotation])
+    def test_non_finite_angle_rejected(self, call, bad):
+        # Without the check a NaN angle gives a NaN state or matrix, and an
+        # infinite one a "math domain error" that names no input.
+        with pytest.raises(ValueError, match=f"angle.* must be finite, got {bad}"):
+            call(bad)
 
 
 class TestGlobalPhaseDecompose:
