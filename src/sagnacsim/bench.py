@@ -53,7 +53,7 @@ import numpy as np
 from . import circuit as _circuit
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
 from .elements import CrystalSpec, half_wave_voltage
-from .loop import _PORTS, LoopLayout
+from .loop import _PORTS, LoopLayout, _relative_factor
 from .polarization import _as_state, linear_state
 
 __all__ = [
@@ -196,8 +196,7 @@ def _intensities(setup: MzSetup, states, voltages) -> np.ndarray:
         for lo in range(0, len(voltages), block):
             f_h, f_v = eom.phase_factors(voltages[lo : lo + block])
             hr, hi, vr, vi = f_h.real, f_h.imag, f_v.real, f_v.imag
-            g_re = hr * vr + hi * vi  # conj(f_H) f_V
-            g_im = hr * vi - hi * vr
+            g_re, g_im = _relative_factor(f_h, f_v)  # conj(f_H) f_V
             out[:, lo : lo + block] = (
                 constant
                 + (hv_re * g_re - hv_im * g_im)

@@ -19,10 +19,12 @@ modulator's two axis phase factors: M_port(V) = f_H(V) P_port,H + f_V(V) P_port,
 and A) by tracing the loop with the modulator replaced by each axis
 projector. A layout compiles once, when it is constructed, and holds the
 parts read-only; so an element without a transfer matrix fails there, and
-evaluating a layout builds no element matrix. Every public entry point maps
-its voltages through ``_evaluate``: ``device_matrix_batch`` for the layout's
-output port only, ``trace_ports`` and ``independence_scan`` for both ports.
-The state leaving the output port is ``device_matrix(layout, V) @ state``.
+evaluating a layout builds no element matrix. ``device_matrix_batch`` maps
+its voltages through ``_evaluate`` for the layout's output port only, and
+``trace_ports`` for both ports. ``independence_scan`` builds the same
+output-port stack as ``device_matrix_batch`` and reads port A's power from
+the parts alone, with no port-A stack (see its docstring). The state leaving
+the output port is ``device_matrix(layout, V) @ state``.
 
 The modulator sits at the midpoint index of the path; that placement matters
 for the timing symmetry of the two beams in the physical device, not for the
@@ -54,6 +56,7 @@ from .polarization import (
     _as_state,
     _canonical_phases,
     _scaled_identity_infidelities,
+    _squared_moduli,
 )
 
 __all__ = [
@@ -166,15 +169,30 @@ def _compile(layout: LoopLayout) -> np.ndarray:
     return np.array(parts)
 
 
-def _evaluate(layout: LoopLayout, voltages, port=slice(None)) -> np.ndarray:
-    """Transfer matrices at ``voltages`` of one port (an index into (B, A)),
-    shape voltages.shape + (2, 2), or of both, shape voltages.shape + (2, 2, 2)."""
-    factor_h, factor_v = layout.eom.phase_factors(np.asarray(voltages, dtype=float))
-    part_h, part_v = layout._parts[:, port]
+def _stack(factors, parts) -> np.ndarray:
+    """f_H P_H + f_V P_V for the phase factors ``factors`` = (f_H, f_V) and
+    the parts ``parts`` = (P_H, P_V) of one port or of both."""
+    factor_h, factor_v = factors
+    part_h, part_v = parts
     # Summed into the first product: one temporary fewer, the same bits.
     out = np.multiply.outer(factor_h, part_h)
     out += np.multiply.outer(factor_v, part_v)
     return out
+
+
+def _evaluate(layout: LoopLayout, voltages, port=slice(None)) -> np.ndarray:
+    """Transfer matrices at ``voltages`` of one port (an index into (B, A)),
+    shape voltages.shape + (2, 2), or of both, shape voltages.shape + (2, 2, 2)."""
+    return _stack(layout.eom.phase_factors(np.asarray(voltages, dtype=float)), layout._parts[:, port])
+
+
+def _relative_factor(factor_h: np.ndarray, factor_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of conj(f_H) f_V, taken in real products:
+    numpy's complex multiply rounds differently in its vectorized and its
+    scalar loop, so a complex product would make a value depend on the
+    array it falls in."""
+    hr, hi, vr, vi = factor_h.real, factor_h.imag, factor_v.real, factor_v.imag
+    return hr * vr + hi * vi, hr * vi - hi * vr
 
 
 def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.ndarray, np.ndarray]:
@@ -215,18 +233,40 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
     and the infidelity vanishes. Consecutive voltages must differ by less
     than V_half, the step at which the phase moves by pi and unwrapping can
     no longer tell its direction.
+
+    The phase factors are evaluated once. The output port's figures come
+    from its stack of device matrices, the one ``device_matrix_batch``
+    returns, with each entry's squared modulus taken once for both the pivot
+    and the Frobenius norm. Port A's power needs no stack: with the port-A
+    parts A_H, A_V, |f_H| = |f_V| = 1 and <X, Y> = sum conj(X) Y it is
+
+      0.5 ||M_A||_F^2 = 0.5 (||A_H||^2 + ||A_V||^2) + Re(conj(f_H) f_V <A_H, A_V>),
+
+    taken in real products and clamped at 0, the law's exact floor, which
+    rounding can undercut by about 1e-16. The output port's columns stay on
+    the stack: the same law for ||M||_F^2 cancels to 0 or below where a port
+    goes dark (``build_default_loop(crystal, hwp_angle=0.0)`` at V_half), and
+    a law for |tr M|^2 would lose half its digits to the square root where
+    tr M vanishes.
     """
     voltages = np.asarray(voltages, dtype=float)
     if voltages.ndim != 1:
         raise ValueError(f"independence_scan needs a 1-D voltage list, got shape {voltages.shape}")
     if voltages.size == 0:
         raise ValueError("independence_scan needs a non-empty voltage list")
-    ports = _evaluate(layout, voltages)
+    factors = layout.eom.phase_factors(voltages)
     v_half = half_wave_voltage(layout.crystal)
     if np.any(np.abs(np.diff(voltages)) >= v_half):
         raise ValueError(f"voltage step reaches the half-wave voltage {v_half:g} V: phase aliases")
-    matrices = ports[:, _PORTS.index(layout.output_port)]
-    phases = np.unwrap(_canonical_phases(matrices)[0])
-    infidelities = _scaled_identity_infidelities(matrices)
-    leaks = 0.5 * np.sum(np.abs(ports[:, 1]) ** 2, axis=(1, 2))
+    matrices = _stack(factors, layout._parts[:, _PORTS.index(layout.output_port)])
+    squared = _squared_moduli(matrices)
+    phases = np.unwrap(_canonical_phases(matrices, squared)[0])
+    infidelities = _scaled_identity_infidelities(matrices, squared)
+    part_h, part_v = layout._parts[:, _PORTS.index("A")].reshape(2, 4)
+    cross = complex(np.vdot(part_h, part_v))  # <A_H, A_V>
+    g_re, g_im = _relative_factor(*factors)
+    leaks = cross.real * g_re
+    leaks -= cross.imag * g_im
+    leaks += 0.5 * (np.vdot(part_h, part_h).real + np.vdot(part_v, part_v).real)
+    np.maximum(leaks, 0.0, out=leaks)
     return np.rec.fromarrays((voltages, phases, infidelities, leaks), names=_SCAN_FIELDS)

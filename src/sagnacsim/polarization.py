@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _IDENTITY = np.eye(2, dtype=complex)
+# Moduli within this relative distance of a transform's largest tie for its pivot.
+_PIVOT_TIE = 1e-12
 
 H = np.array([1.0, 0.0], dtype=complex)
 V = np.array([0.0, 1.0], dtype=complex)
@@ -127,15 +129,34 @@ class PhaseDecomposition(NamedTuple):
     residual: np.ndarray
 
 
-def _canonical_phases(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _squared_moduli(ms: np.ndarray) -> np.ndarray:
+    """|m_jk|^2 of each entry, in real products. A part past 1e154 overflows
+    and one below 1e-162 underflows, so a caller passes moderate entries: a
+    rescaled transform's, or a loop's, which are at most 1."""
+    squared = np.square(ms.real)
+    squared += np.square(ms.imag)
+    return squared
+
+
+def _canonical_phases(ms: np.ndarray, squared: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Canonical global phases of a stack (n, 2, 2) of nonzero transforms and
-    the row-major index of each one's pivot entry (see ``PhaseDecomposition``)."""
+    the row-major index of each one's pivot entry (see ``PhaseDecomposition``).
+
+    The pivot is found on the moduli, or on ``squared``, the stack's
+    ``_squared_moduli``, when the caller has them: those rank the entries
+    alike and skip the moduli, but only moderate entries square safely."""
     flat = ms.reshape(len(ms), 4)
-    mags = np.abs(flat)
-    top = mags.max(axis=1, keepdims=True)
-    # first maximum in row-major order; magnitudes tied within floating-point
-    # noise count as equal so the tie-break is stable
-    pivot_index = np.argmax(mags >= top * (1.0 - 1e-12), axis=1)
+    # magnitudes tied within floating-point noise count as equal so the
+    # tie-break is stable
+    if squared is None:
+        mags, tie = np.abs(flat), 1.0 - _PIVOT_TIE
+    else:
+        mags, tie = squared.reshape(len(ms), 4), (1.0 - _PIVOT_TIE) ** 2
+    # Column by column: numpy reduces a short last axis one row at a time.
+    m0, m1, m2, m3 = mags.T
+    top = np.maximum(np.maximum(m0, m1), np.maximum(m2, m3))
+    # first maximum in row-major order
+    pivot_index = np.argmax(mags >= (top * tie)[:, None], axis=1)
     pivots = flat[np.arange(len(flat)), pivot_index]
     if np.any(pivots == 0):
         raise ValueError("cannot decompose the zero matrix")
@@ -179,9 +200,11 @@ def identity_infidelity(m) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def _scaled_identity_infidelities(ms: np.ndarray) -> np.ndarray:
-    """``scaled_identity_infidelity`` of each transform in a stack, shape (n, 2, 2)."""
-    fro = np.linalg.norm(ms, axis=(1, 2))
+def _scaled_identity_infidelities(ms: np.ndarray, squared: np.ndarray) -> np.ndarray:
+    """``scaled_identity_infidelity`` of each transform in a stack of moderate
+    entries, shape (n, 2, 2), given the stack's ``_squared_moduli``."""
+    m0, m1, m2, m3 = squared.reshape(len(ms), 4).T
+    fro = np.sqrt(m0 + m1 + m2 + m3)
     if np.any(fro == 0.0):
         raise ValueError("cannot measure the zero matrix")
     val = 1.0 - np.abs(ms[:, 0, 0] + ms[:, 1, 1]) / (math.sqrt(2.0) * fro)
@@ -198,7 +221,8 @@ def scaled_identity_infidelity(m) -> float:
     common amplitude loss should not count as polarization dependence.
     """
     # The metric is scale-invariant, and rescaling keeps ||m||_F in range.
-    return float(_scaled_identity_infidelities(_rescaled(_as_transform(m))[None])[0])
+    ms = _rescaled(_as_transform(m))[None]
+    return float(_scaled_identity_infidelities(ms, _squared_moduli(ms))[0])
 
 
 def stokes(s) -> tuple[float, float, float, float]:

@@ -303,6 +303,31 @@ class TestIndependenceScan:
         points = independence_scan(ideal, [0.0, 0.999 * v_half, 0.5 * v_half])
         assert points[1].global_phase == pytest.approx(0.999 * math.pi, abs=1e-9)
 
+    @pytest.mark.parametrize("angle", ["hwp_angle", "fr_angle"])
+    def test_dark_output_port_still_scans(self, crystal, v_half, angle):
+        # With either angle at 0 the output port goes dark at V_half (its
+        # Frobenius norm falls to about 3e-16) and all light returns to port
+        # A; a law for ||M||_F^2 there cancels to 0 or below and is refused
+        # as the zero matrix.
+        layout = build_default_loop(crystal, **{angle: 0.0})
+        points = independence_scan(layout, np.linspace(0.0, 2 * v_half, 4001))
+        for name in points.dtype.names:
+            assert np.all(np.isfinite(points[name])), name
+        assert np.all((points.infidelity >= 0.0) & (points.infidelity <= 1.0))
+        assert points.port_a_power.max() == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_phase_factor_evaluation_and_one_stack(self, crystal, v_half):
+        layout = build_default_loop(crystal, fr_angle=math.radians(40.0))
+        voltages = np.linspace(0.0, 2 * v_half, 11)
+        factors = mock.Mock(wraps=layout.eom.phase_factors)
+        stack = mock.Mock(wraps=loop_module._stack)
+        with mock.patch.object(Eom, "phase_factors", lambda eom, v: factors(v)), \
+                mock.patch.object(loop_module, "_stack", stack):
+            independence_scan(layout, voltages)
+        assert factors.call_count == 1
+        # The output port's parts only: port A's power comes from its law.
+        assert stack.call_count == 1 and np.shape(stack.call_args.args[1]) == (2, 2, 2)
+
     def test_faraday_error_infidelity_voltage_independent(self, crystal, v_half):
         layout = build_default_loop(crystal, fr_angle=math.radians(40.0))
         points = independence_scan(layout, np.linspace(0, 2 * v_half, 21))
@@ -419,3 +444,30 @@ class TestLoopProperties:
                 port_b, port_a = trace_ports(layout, basis, v)
                 total = np.sum(np.abs(port_b) ** 2) + np.sum(np.abs(port_a) ** 2)
                 assert total == pytest.approx(transmission, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        port=st.sampled_from(["A", "B"]),
+        start=st.floats(-2.0, 2.0),
+        steps=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=11),
+    )
+    def test_scan_rows_match_oracle_and_one_voltage_scans(self, seed, port, start, steps):
+        # A multi-voltage scan, each step below V_half. Every row equals the
+        # oracle, and bit for bit the scan of its voltage alone: no row may
+        # depend on its neighbours or on the block it falls in.
+        v_half = half_wave_voltage(reference_crystal())
+        layout = dataclasses.replace(
+            random_imperfect_layout(np.random.default_rng(seed)), output_port=port
+        )
+        port_a_layout = dataclasses.replace(layout, output_port="A")
+        voltages = (start + np.cumsum([0.0, *steps])) * v_half
+        points = independence_scan(layout, voltages)
+        for k, v in enumerate(voltages):
+            oracle = oracle_device_matrix(layout, float(v))
+            oracle_a = oracle_device_matrix(port_a_layout, float(v))
+            assert points.infidelity[k] == pytest.approx(scaled_identity_infidelity(oracle), abs=1e-12)
+            assert points.port_a_power[k] == pytest.approx(0.5 * np.linalg.norm(oracle_a) ** 2, abs=1e-12)
+            alone = independence_scan(layout, [v])
+            assert points.infidelity[k] == alone.infidelity[0]
+            assert points.port_a_power[k] == alone.port_a_power[0]

@@ -71,17 +71,36 @@ def module_names(tree) -> set:
     return names
 
 
+def bound_names(tree) -> dict:
+    """The names ``tree`` binds to a name of the package, each mapped to that
+    name: those it imports from ``sagnacsim`` or one of its modules, under an
+    ``as`` name or its own, and those it defines at module level."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, t.id) for t in targets if isinstance(t, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "sagnacsim"):
+            names.update((alias.asname or alias.name, alias.name) for alias in node.names)
+    return names
+
+
 def test_every_public_name_has_a_caller():
-    # A name counts where it is read, or looked up as an attribute of a
-    # sagnacsim module that the same file imports (``loop.device_matrix``).
-    # An import, a docstring, an __all__ entry or an attribute of anything
-    # else (``cfg.trace``, ``element.rotation``) does not call it.
+    # A name counts where it is read in a file that imports it from sagnacsim
+    # or defines it, or looked up as an attribute of a sagnacsim module that
+    # the same file imports (``loop.device_matrix``). An import, a docstring,
+    # an __all__ entry, a local variable of the same name (``trace`` in
+    # cli.py) or an attribute of anything else (``cfg.trace``,
+    # ``element.rotation``) does not call it.
     used = set()
     for tree in caller_trees():
-        modules = module_names(tree)
+        modules, bound = module_names(tree), bound_names(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bound:
+                used.add(bound[node.id])
             elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
                 used.add(node.attr)
     uncalled = set().union(*(m.__all__ for m in MODULES)) - used
