@@ -57,7 +57,6 @@ from .loop import _PORTS, LoopLayout, _relative_factor
 from .polarization import _as_state, linear_state
 
 __all__ = [
-    "InfiniteContrastError",
     "MeasurementRecord",
     "MzSetup",
     "SwitchingTrace",
@@ -69,10 +68,6 @@ __all__ = [
     "switching_trace",
     "table1_report",
 ]
-
-
-class InfiniteContrastError(ValueError):
-    """Raised when a visibility of exactly 1 implies infinite contrast."""
 
 
 @dataclass(frozen=True)
@@ -271,13 +266,14 @@ def _record(voltages: np.ndarray, corrected: np.ndarray) -> MeasurementRecord:
 def contrast_from_visibility(visibility: float) -> tuple[float, float]:
     """On/off contrast (ratio, dB) implied by a fringe visibility.
 
-    ratio = (1 + v) / (1 - v), monotone increasing on [0, 1). A visibility
-    of exactly 1 is signaled distinctly as InfiniteContrastError.
+    ratio = (1 + v) / (1 - v), monotone increasing on [0, 1]. A visibility
+    of exactly 1 reads (inf, inf), as ``MeasurementRecord`` does for an
+    exactly dark fringe.
     """
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
     if visibility == 1.0:
-        raise InfiniteContrastError("infinite contrast: visibility is exactly 1")
-    if not 0.0 <= visibility < 1.0:
-        raise ValueError(f"visibility must lie in [0, 1), got {visibility}")
+        return math.inf, math.inf
     ratio = (1.0 + visibility) / (1.0 - visibility)
     return ratio, 10.0 * math.log10(ratio)
 
@@ -289,7 +285,7 @@ def insertion_loss(transmissions: Sequence[float]) -> float:
         if not 0.0 < t <= 1.0:
             raise ValueError(f"transmissions must lie in (0, 1], got {t}")
         total *= t
-    return -10.0 * math.log10(total)
+    return 0.0 - 10.0 * math.log10(total)  # +0 dB, not -0, for a lossless chain
 
 
 @dataclass(frozen=True)

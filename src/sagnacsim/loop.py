@@ -19,12 +19,12 @@ modulator's two axis phase factors: M_port(V) = f_H(V) P_port,H + f_V(V) P_port,
 and A) by tracing the loop with the modulator replaced by each axis
 projector. A layout compiles once, when it is constructed, and holds the
 parts read-only; so an element without a transfer matrix fails there, and
-evaluating a layout builds no element matrix. ``device_matrix_batch`` maps
-its voltages through ``_evaluate`` for the layout's output port only, and
-``trace_ports`` for both ports. ``independence_scan`` builds the same
-output-port stack as ``device_matrix_batch`` and reads port A's power from
-the parts alone, with no port-A stack (see its docstring). The state leaving
-the output port is ``device_matrix(layout, V) @ state``.
+evaluating a layout builds no element matrix. ``device_matrix_batch``
+stacks the phase factors with the output port's parts (``_stack``), and
+``trace_ports`` with both ports' parts at one voltage. ``independence_scan``
+builds the same output-port stack as ``device_matrix_batch`` and reads port
+A's power from the parts alone, with no port-A stack (see its docstring).
+The state leaving the output port is ``device_matrix(layout, V) @ state``.
 
 The modulator sits at the midpoint index of the path; that placement matters
 for the timing symmetry of the two beams in the physical device, not for the
@@ -180,12 +180,6 @@ def _stack(factors, parts) -> np.ndarray:
     return out
 
 
-def _evaluate(layout: LoopLayout, voltages, port=slice(None)) -> np.ndarray:
-    """Transfer matrices at ``voltages`` of one port (an index into (B, A)),
-    shape voltages.shape + (2, 2), or of both, shape voltages.shape + (2, 2, 2)."""
-    return _stack(layout.eom.phase_factors(np.asarray(voltages, dtype=float)), layout._parts[:, port])
-
-
 def _relative_factor(factor_h: np.ndarray, factor_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of conj(f_H) f_V, taken in real products:
     numpy's complex multiply rounds differently in its vectorized and its
@@ -201,7 +195,10 @@ def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.nda
     Port B is the exit port distinct from the input; for an ideal layout all
     light leaves there and the port A amplitude vanishes.
     """
-    return tuple(_evaluate(layout, drive_voltage) @ _as_state(state))
+    drive_voltage = np.asarray(drive_voltage, dtype=float)
+    if drive_voltage.ndim:
+        raise ValueError(f"trace_ports needs one drive voltage, got shape {drive_voltage.shape}")
+    return tuple(_stack(layout.eom.phase_factors(drive_voltage), layout._parts) @ _as_state(state))
 
 
 def device_matrix(layout: LoopLayout, drive_voltage: float) -> np.ndarray:
@@ -216,7 +213,8 @@ def device_matrix(layout: LoopLayout, drive_voltage: float) -> np.ndarray:
 def device_matrix_batch(layout: LoopLayout, voltages) -> np.ndarray:
     """Device matrices at the layout's output port for an array of voltages,
     shape voltages.shape + (2, 2)."""
-    return _evaluate(layout, voltages, _PORTS.index(layout.output_port))
+    factors = layout.eom.phase_factors(np.asarray(voltages, dtype=float))
+    return _stack(factors, layout._parts[:, _PORTS.index(layout.output_port)])
 
 
 def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recarray:

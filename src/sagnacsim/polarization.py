@@ -138,25 +138,22 @@ def _squared_moduli(ms: np.ndarray) -> np.ndarray:
     return squared
 
 
-def _canonical_phases(ms: np.ndarray, squared: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_phases(ms: np.ndarray, squared: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical global phases of a stack (n, 2, 2) of nonzero transforms and
     the row-major index of each one's pivot entry (see ``PhaseDecomposition``).
 
-    The pivot is found on the moduli, or on ``squared``, the stack's
-    ``_squared_moduli``, when the caller has them: those rank the entries
-    alike and skip the moduli, but only moderate entries square safely."""
+    The one pivot rule ranks the entries on ``squared``: the stack's
+    ``_squared_moduli`` when its entries are moderate, else those of each
+    transform rescaled on its own. The phase is the pivot entry's own, taken
+    from ``ms``."""
     flat = ms.reshape(len(ms), 4)
-    # magnitudes tied within floating-point noise count as equal so the
-    # tie-break is stable
-    if squared is None:
-        mags, tie = np.abs(flat), 1.0 - _PIVOT_TIE
-    else:
-        mags, tie = squared.reshape(len(ms), 4), (1.0 - _PIVOT_TIE) ** 2
+    mags = squared.reshape(len(ms), 4)
     # Column by column: numpy reduces a short last axis one row at a time.
     m0, m1, m2, m3 = mags.T
     top = np.maximum(np.maximum(m0, m1), np.maximum(m2, m3))
-    # first maximum in row-major order
-    pivot_index = np.argmax(mags >= (top * tie)[:, None], axis=1)
+    # first maximum in row-major order; squared magnitudes tied within
+    # floating-point noise count as equal so the tie-break is stable
+    pivot_index = np.argmax(mags >= (top * (1.0 - _PIVOT_TIE) ** 2)[:, None], axis=1)
     pivots = flat[np.arange(len(flat)), pivot_index]
     if np.any(pivots == 0):
         raise ValueError("cannot decompose the zero matrix")
@@ -173,7 +170,10 @@ def global_phase_decompose(m) -> PhaseDecomposition:
     matrix whose largest entry's modulus overflows a float.
     """
     m = _as_transform(m)
-    phases, pivot_index = _canonical_phases(m[None])
+    # Ranked on the rescaled transform's squares: the largest lies in [1, 2],
+    # so only entries far below it underflow. The phase and the residual come
+    # from m's own entries.
+    phases, pivot_index = _canonical_phases(m[None], _squared_moduli(_rescaled(m)[None]))
     phase, k = float(phases[0]), int(pivot_index[0])
     pivot = abs(m.flat[k])
     if pivot == math.inf:

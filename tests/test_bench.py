@@ -13,7 +13,6 @@ from sagnacsim import (
     DriveCircuit,
     Eom,
     GateSchedule,
-    InfiniteContrastError,
     MeasurementRecord,
     MzSetup,
     Waveform,
@@ -434,8 +433,7 @@ class TestContrast:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_infinite_contrast_distinct(self):
-        with pytest.raises(InfiniteContrastError):
-            contrast_from_visibility(1.0)
+        assert contrast_from_visibility(1.0) == (math.inf, math.inf)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -455,6 +453,11 @@ class TestInsertionLoss:
 
     def test_lossless(self):
         assert insertion_loss([1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
+
+    def test_lossless_reads_plus_zero(self):
+        # -10 log10(1) is -0.0, which a report prints as "-0".
+        assert math.copysign(1.0, insertion_loss([1.0])) == 1.0
+        assert math.copysign(1.0, insertion_loss([1.0, 1.0])) == 1.0
 
     def test_two_coatings(self):
         assert insertion_loss([0.977, 0.977]) == pytest.approx(0.202, abs=1e-3)

@@ -22,6 +22,8 @@ from sagnacsim import (
 )
 from sagnacsim.cli import _COMMANDS, main
 
+from golden import refresh as golden
+
 ROOT = Path(__file__).resolve().parents[1]
 
 IDEAL_TEXT = """\
@@ -261,6 +263,13 @@ class TestCli:
         code, out = self.run("loss", config_path, tmp_path)
         assert code == 0
         assert "insertion_loss_db=1.00" in capsys.readouterr().out
+
+    def test_lossless_element_reads_zero_db(self, tmp_path):
+        path = tmp_path / "lossless.ini"
+        path.write_text(IDEAL_TEXT + "\n[loss]\ntransmissions = 1, 0.5\n")
+        code, out = self.run("loss", path, tmp_path)
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "0,1,0"
 
     def test_unknown_command_usage_error(self, config_path, tmp_path, capsys):
         code = main(["frobnicate", "--config", str(config_path), "--out", "x.csv"])
@@ -524,6 +533,14 @@ class TestCli:
         assert main(["independence-scan", "--config", str(config_path), "--out", str(out1)]) == 0
         assert main(["independence-scan", "--config", str(config_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_outputs_match_the_golden_manifest():
+    # Every CLI run of the shipped configs, byte for byte as committed in
+    # tests/golden/manifest.json (the demos are checked in test_demo_runs).
+    manifest = golden.load()
+    found = golden.differences(manifest["cli"], golden.cli_entries())
+    assert not found, "\n".join([f"written on {manifest['stamp']}", *found])
 
 
 def test_cli_commands_do_not_import_scipy(tmp_path):

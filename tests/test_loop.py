@@ -136,6 +136,14 @@ class TestCompiledLayout:
                 columns = [trace_ports(layout, basis, v)[index] for basis in (H, V)]
                 assert np.array_equal(m, np.column_stack(columns))
 
+    @pytest.mark.parametrize("voltages", [[0.0], [0.0, 50.0]])
+    def test_trace_ports_refuses_more_than_one_voltage(self, ideal, voltages):
+        # Two voltages would come back as (both ports at 0 V, both at 50 V),
+        # labelled (port B, port A). The non-finite state shows that the
+        # refusal comes before anything is evaluated.
+        with pytest.raises(ValueError, match=rf"one drive voltage, got shape \({len(voltages)},\)"):
+            trace_ports(ideal, [math.nan, 0.0], np.array(voltages))
+
 
 class TestTrace:
     """A state traced through the loop: ``device_matrix(layout, V) @ s``."""
@@ -327,6 +335,23 @@ class TestIndependenceScan:
         assert factors.call_count == 1
         # The output port's parts only: port A's power comes from its law.
         assert stack.call_count == 1 and np.shape(stack.call_args.args[1]) == (2, 2, 2)
+
+    def test_port_a_power_with_complex_axis_dependent_parts(self, crystal, v_half):
+        # <A_H, A_V> is real for every layout the element catalogue builds, so
+        # hand-built parts are needed to reach the law's imaginary cross term.
+        rng = np.random.default_rng(24)
+        layout = build_default_loop(crystal)
+        parts = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+        parts.setflags(write=False)
+        object.__setattr__(layout, "_parts", parts)
+        a_h, a_v = parts[:, 1]  # port A's parts
+        assert abs(np.vdot(a_h, a_v).imag) >= 0.1
+        voltages = np.linspace(-2 * v_half, 2 * v_half, 41)
+        f_h, f_v = layout.eom.phase_factors(voltages)
+        port_a = np.multiply.outer(f_h, a_h) + np.multiply.outer(f_v, a_v)
+        expected = 0.5 * np.sum(np.abs(port_a) ** 2, axis=(1, 2))
+        points = independence_scan(layout, voltages)
+        np.testing.assert_allclose(points.port_a_power, expected, rtol=0.0, atol=1e-12)
 
     def test_faraday_error_infidelity_voltage_independent(self, crystal, v_half):
         layout = build_default_loop(crystal, fr_angle=math.radians(40.0))

@@ -2,7 +2,6 @@
 
 import ast
 import inspect
-import runpy
 import types
 from functools import cache
 from pathlib import Path
@@ -11,6 +10,8 @@ import pytest
 
 import sagnacsim
 from sagnacsim import bench, circuit, config, elements, loop, polarization
+
+from golden import refresh as golden
 
 MODULES = (bench, circuit, config, elements, loop, polarization)
 ROOT = Path(__file__).resolve().parents[1]
@@ -156,10 +157,12 @@ DEMO_OUTPUTS = {
 
 
 @pytest.mark.parametrize("script", sorted(DEMO_OUTPUTS))
-def test_demo_runs(script, tmp_path, monkeypatch, capsys):
+def test_demo_runs(script, tmp_path):
     lines, written = DEMO_OUTPUTS[script]
-    monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(DEMOS / script), run_name="__main__")
-    printed = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line not in printed] == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ([written] if written else [])
+    printed, entry = golden.run_demo(script, tmp_path)
+    assert [line for line in lines if line not in printed.splitlines()] == []
+    assert sorted(entry["files"]) == ([written] if written else [])
+    # Every printed and written byte, as committed in tests/golden/manifest.json.
+    manifest = golden.load()
+    found = golden.differences(manifest["demos"][script], entry, script)
+    assert not found, "\n".join([f"written on {manifest['stamp']}", *found])
