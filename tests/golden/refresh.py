@@ -1,4 +1,5 @@
-"""Golden-output manifest: the bytes every CLI run and demo writes.
+"""Golden-output manifest: the bytes every CLI run, demo and library entry
+point writes.
 
     PYTHONPATH=src python tests/golden/refresh.py          # rewrite manifest.json
     PYTHONPATH=src python tests/golden/refresh.py --check  # print differences, exit 1 on any
@@ -8,8 +9,12 @@ stderr of each of the 24 CLI runs (six commands x the two shipped configs x
 no flags / ``SMALL_FLAGS``), and of each demo's stdout, stderr and written
 files, all run in process with every warning an error. Next to each CSV hash
 sits a fingerprint (row count, header, and each column's min, max and sum as
-``repr`` floats), so a broken hash names the column that moved. The stamp
-records where the manifest was written; rounding can differ elsewhere.
+``repr`` floats), so a broken hash names the column that moved. The library
+slice holds the compiled parts of a fixed set of layouts as one SHA-256, and
+the ``table1_report``, ``sweep_curve``, ``switching_trace`` and
+``fit_mosfet_on_r`` results on both configs, as ``repr`` floats or as an
+array's SHA-256 next to its min, max and sum. The stamp records where the
+manifest was written; rounding can differ elsewhere.
 Rewriting the manifest changes what tier-1 checks: name each changed entry
 and its reason in CHANGES.md.
 """
@@ -20,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import runpy
@@ -30,6 +36,23 @@ from pathlib import Path
 
 import numpy as np
 
+from sagnacsim import (
+    Eom,
+    FaradayRotator,
+    GateSchedule,
+    HalfWavePlate,
+    LoopLayout,
+    LossElement,
+    Mirror,
+    Pbs,
+    build_default_loop,
+    fit_mosfet_on_r,
+    linear_state,
+    parse_config,
+    sweep_curve,
+    switching_trace,
+    table1_report,
+)
 from sagnacsim.cli import _COMMANDS, main
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -118,14 +141,86 @@ def cli_entries() -> dict:
     return entries
 
 
+def _random_layout(rng: np.random.Generator, crystal) -> LoopLayout:
+    """A layout of up to three wave plates, rotators, mirrors and losses on
+    each side of the modulator; each extinction is zero half the time, and
+    angles sit on a multiple of pi / 4 a quarter of the time."""
+
+    def angle() -> float:
+        return rng.integers(-4, 5) * math.pi / 4 if rng.random() < 0.25 else rng.uniform(-math.pi, math.pi)
+
+    def element():
+        kind = rng.integers(4)
+        if kind == 0:
+            return HalfWavePlate(angle())
+        if kind == 1:
+            return FaradayRotator(angle())
+        if kind == 2:
+            return Mirror(angle())
+        return LossElement(rng.uniform(0.5, 1.0))
+
+    pbs = Pbs(*(0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.29) for _ in range(2)))
+    eom = Eom(crystal, axis=("H", "V")[rng.integers(2)])
+    before = [element() for _ in range(rng.integers(4))]
+    after = [element() for _ in range(rng.integers(4))]
+    return LoopLayout(pbs, (*before, eom, *after), ("B", "A")[rng.integers(2)])
+
+
+def _array_entry(values: np.ndarray) -> dict:
+    return {
+        "sha256": _sha(values.tobytes()),
+        "range": [repr(float(values.min())), repr(float(values.max())), repr(float(values.sum()))],
+    }
+
+
+def library_entries() -> dict:
+    """Entries of the library's compiled parts and bench results."""
+    scenes = {name: parse_config((ROOT / "demos" / "configs" / name).read_text(encoding="utf-8"))
+              for name in CONFIGS}
+    crystal = scenes["ideal.ini"].crystal_spec()
+    rng = np.random.default_rng(2025)
+    layouts = [_random_layout(rng, crystal) for _ in range(1000)]
+    layouts += [
+        build_default_loop(crystal, hwp_angle=math.radians(hwp), rotated_beam=beam, output_port=port)
+        for beam in ("cw", "ccw") for port in ("B", "A") for hwp in (22.5, 0.0)
+    ]
+    parts = hashlib.sha256()
+    for layout in layouts:
+        parts.update(layout._parts.tobytes())
+    entries = {"parts": {"layouts": len(layouts), "sha256": parts.hexdigest()}}
+    for name, cfg in scenes.items():
+        setup, circuit, trace = cfg.mz_setup(), cfg.drive_circuit(), cfg.trace
+        gates = GateSchedule((trace.gate_on,), trace.hold)
+        state = linear_state(math.radians(trace.input_angle_deg))
+        entries[name] = {
+            "table1": {
+                str(n): [[repr(r.i_on), repr(r.i_off), repr(r.v_half_fit)]
+                         for r in table1_report(setup, v_max=cfg.sweep.v_max, n=n)]
+                for n in (64, 2001, 32769, 100003)
+            },
+            "sweep_curve": _array_entry(sweep_curve(setup, linear_state(math.pi / 4), None, 50001)[1]),
+            "switching_trace": {},
+            "fit_mosfet_on_r": repr(fit_mosfet_on_r(setup, state, circuit, gates, 40e-9, 10e-12, 1.6e-9)),
+        }
+        for t_end in (40e-9, 1e-6):
+            result = switching_trace(setup, state, circuit, gates, t_end, 10e-12)
+            entries[name]["switching_trace"][repr(t_end)] = {
+                "voltage": _array_entry(result.voltage.samples),
+                "intensity": _array_entry(result.intensity.samples),
+                "edge": repr(result.optical_10_90),
+            }
+    return entries
+
+
 def build() -> dict:
-    """The whole manifest: the stamp, the CLI runs and the demos."""
+    """The whole manifest: the stamp, the CLI runs, the demos and the
+    library entries."""
     demos = {}
     for script in DEMOS:
         with tempfile.TemporaryDirectory() as tmp:
             demos[script] = run_demo(script, Path(tmp))[1]
     stamp = {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine()}
-    return {"stamp": stamp, "cli": cli_entries(), "demos": demos}
+    return {"stamp": stamp, "cli": cli_entries(), "demos": demos, "library": library_entries()}
 
 
 def differences(expected, actual, where: str = "") -> list[str]:

@@ -9,6 +9,7 @@ from sagnacsim import (
     Eom,
     FaradayRotator,
     HalfWavePlate,
+    LoopLayout,
     LossElement,
     Mirror,
     Pbs,
@@ -17,6 +18,7 @@ from sagnacsim import (
     pbs_combine_ports,
     pbs_split,
     rotation,
+    trace_ports,
 )
 from sagnacsim.polarization import _unitarity_deviation
 
@@ -194,6 +196,12 @@ class TestReciprocity:
         assert abs(hwp_first[0, 1]) == pytest.approx(1.0)
 
 
+def split_and_recombine(pbs: Pbs, s) -> tuple[np.ndarray, np.ndarray]:
+    """(port B, port A) after the splitter's split and recombination alone:
+    a loop whose path holds only the modulator, at 0 V."""
+    return trace_ports(LoopLayout(pbs, (Eom(reference_crystal()),)), s, 0.0)
+
+
 class TestPbs:
     def test_ideal_split_h(self):
         t, r = pbs_split(Pbs(), np.array([1.0, 0.0]))
@@ -244,6 +252,18 @@ class TestPbs:
             b, a = pbs_combine_ports(pbs, x, y)
             total = np.sum(np.abs(b) ** 2) + np.sum(np.abs(a) ** 2)
             assert total == pytest.approx(2.0, abs=1e-12)
+
+    def test_first_order_leakage_reaches_port_a(self):
+        # Each component's leakage amplitude, 2 eps sqrt(1 - eps^2) of it,
+        # returns to port A, to the last bit.
+        rng = np.random.default_rng(34)
+        for _ in range(1000):
+            eps_t, eps_r = rng.uniform(0, 0.29), rng.uniform(0, 0.29)
+            s = random_state(rng)
+            port_a = split_and_recombine(Pbs(eps_t, eps_r), s)[1]
+            expected = [2 * eps_r * math.sqrt(1 - eps_r**2) * s[0],
+                        2 * eps_t * math.sqrt(1 - eps_t**2) * s[1]]
+            np.testing.assert_array_equal(port_a, expected)
 
     def test_extinction_bounds(self):
         with pytest.raises(ValueError):

@@ -166,3 +166,11 @@ def test_demo_runs(script, tmp_path):
     manifest = golden.load()
     found = golden.differences(manifest["demos"][script], entry, script)
     assert not found, "\n".join([f"written on {manifest['stamp']}", *found])
+
+
+def test_library_outputs_match_the_golden_manifest():
+    # The compiled parts of a fixed set of layouts and the bench results on
+    # both shipped configs, as committed in tests/golden/manifest.json.
+    manifest = golden.load()
+    found = golden.differences(manifest["library"], golden.library_entries(), "library")
+    assert not found, "\n".join([f"written on {manifest['stamp']}", *found])
