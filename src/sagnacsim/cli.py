@@ -118,8 +118,10 @@ def _run_transient(cfg: SceneConfig) -> _Report:
 def _run_recovery(cfg: SceneConfig) -> _Report:
     circuit = cfg.drive_circuit()
     rec = cfg.recovery
+    # recovery_fraction refuses a period that does not exceed the hold: the
+    # table leaves those rates out, and only the configured rate must fit.
     rates = np.geomspace(10e3, 1e6, 61)
-    rows = [[rate, recovery_fraction(circuit, rate, rec.hold)] for rate in rates]
+    rows = [[rate, recovery_fraction(circuit, rate, rec.hold)] for rate in rates if 1.0 / rate > rec.hold]
     fraction = recovery_fraction(circuit, rec.repetition_rate, rec.hold)
     return ["repetition_rate_hz", "recovery_fraction"], rows, f"recovery_fraction={fraction:.5f}"
 

@@ -33,8 +33,6 @@ __all__ = [
     "Pbs",
     "element_matrix",
     "half_wave_voltage",
-    "pbs_combine_ports",
-    "pbs_split",
 ]
 
 @dataclass(frozen=True)
@@ -153,7 +151,13 @@ class Pbs:
     extinction_t: amplitude of V leaking into the transmitted port;
     extinction_r: amplitude of H leaking into the reflected port. Leakage is
     modeled as a rotation by asin(eps) between the port subspaces, so power
-    bookkeeping stays exact and loss is left to LossElement.
+    bookkeeping stays exact and loss is left to LossElement. The rotation
+    acts as real weights (``_pbs_weights``): ``split[arm, j]`` carries input
+    component j (H, V) into arm T, the transmitted (clockwise) beam, or arm
+    R, the reflected one; ``combine[port, arm, j]`` carries component j of
+    a returning arm into port B, the exit, or port A, the input side. Each
+    subspace passes the rotation twice, so a bare split and recombination
+    reaches port B scaled by 1 - 2 eps^2 and port A by 2 eps sqrt(1 - eps^2).
     """
 
     extinction_t: float = 0.0
@@ -164,6 +168,18 @@ class Pbs:
             eps = getattr(self, name)
             if not (0.0 <= eps < 0.3):
                 raise ValueError(f"Pbs.{name} must lie in [0, 0.3), got {eps}")
+
+
+def _pbs_weights(pbs: Pbs) -> tuple[np.ndarray, np.ndarray]:
+    """The splitter's weights (``split``, ``combine``), indexed as in the
+    ``Pbs`` docstring. The beam that left through one port re-enters on
+    the other side, so arm T returns on the reflected side and arm R on the
+    transmitted side."""
+    st, sr = pbs.extinction_t, pbs.extinction_r
+    ct, cr = math.sqrt(1.0 - st**2), math.sqrt(1.0 - sr**2)
+    split = np.array([[cr, st], [sr, ct]])
+    combine = np.array([[[cr, -st], [-sr, ct]], [[sr, ct], [cr, st]]])
+    return split, combine
 
 
 @dataclass(frozen=True)
@@ -206,41 +222,8 @@ def element_matrix(element) -> np.ndarray:
     if isinstance(element, LossElement):
         return math.sqrt(element.transmission) * np.eye(2, dtype=complex)
     if isinstance(element, Pbs):
-        raise ValueError("a Pbs has no single transfer matrix; use pbs_split / pbs_combine_ports")
+        raise ValueError("a Pbs has no single transfer matrix; a LoopLayout splits and recombines its beams")
     if isinstance(element, Eom):
         raise ValueError("an Eom has no fixed transfer matrix; use diag(Eom.phase_factors(V))")
     raise TypeError(f"unknown optical element {element!r}")
 
-
-def pbs_split(pbs: Pbs, s) -> tuple[np.ndarray, np.ndarray]:
-    """Split a state into (transmitted, reflected) port states.
-
-    Ideal: transmitted = (alpha, 0), reflected = (0, beta). With extinction
-    the leakage amplitudes cross over unitarily, so
-    |transmitted|^2 + |reflected|^2 = |s|^2 exactly.
-    """
-    s = np.asarray(s, dtype=complex)
-    ct = math.sqrt(1.0 - pbs.extinction_t**2)
-    cr = math.sqrt(1.0 - pbs.extinction_r**2)
-    transmitted = np.array([cr * s[0], pbs.extinction_t * s[1]])
-    reflected = np.array([pbs.extinction_r * s[0], ct * s[1]])
-    return transmitted, reflected
-
-
-def pbs_combine_ports(pbs: Pbs, from_transmit_arm, from_reflect_arm) -> tuple[np.ndarray, np.ndarray]:
-    """Recombine returning arm states into (exit port, input-side port).
-
-    The beam that left through the transmitted port re-enters on the
-    reflected side and vice versa, as in a loop. Each polarization subspace
-    passes the same extinction rotation a second time, so an immediate
-    split/combine round trip deviates from the identity at second order in
-    the extinction amplitudes while conserving total power exactly.
-    """
-    x = np.asarray(from_transmit_arm, dtype=complex)
-    y = np.asarray(from_reflect_arm, dtype=complex)
-    st, sr = pbs.extinction_t, pbs.extinction_r
-    ct = math.sqrt(1.0 - st**2)
-    cr = math.sqrt(1.0 - sr**2)
-    port_b = np.array([cr * x[0] - sr * y[0], ct * y[1] - st * x[1]])
-    port_a = np.array([sr * x[0] + cr * y[0], st * y[1] + ct * x[1]])
-    return port_b, port_a

@@ -16,14 +16,16 @@ global phase.
 Each beam crosses the modulator once, so each output port is linear in the
 modulator's two axis phase factors: M_port(V) = f_H(V) P_port,H + f_V(V) P_port,V.
 ``_compile`` finds the four fixed 2x2 parts (modulator axes H and V, ports B
-and A) by tracing the loop with the modulator replaced by each axis
-projector. A layout compiles once, when it is constructed, and holds the
-parts read-only; so an element without a transfer matrix fails there, and
-evaluating a layout builds no element matrix. ``device_matrix_batch``
-stacks the phase factors with the output port's parts (``_stack``), and
-``trace_ports`` with both ports' parts at one voltage. ``independence_scan``
-builds the same output-port stack as ``device_matrix_batch`` and reads port
-A's power from the parts alone, with no port-A stack (see its docstring).
+and A) by tracing both arms with the modulator replaced by each axis
+projector and weighting them with the beam splitter's split and combine
+weights (``elements._pbs_weights``). A layout compiles once, when it is
+constructed, and holds the parts read-only; so an element without a
+transfer matrix fails there, and evaluating a layout builds no element
+matrix. ``device_matrix_batch`` stacks the phase factors with the output
+port's parts (``_stack``), and ``trace_ports`` with both ports' parts at
+one voltage. ``independence_scan`` builds the same output-port stack as
+``device_matrix_batch`` and reads port A's power from the parts alone,
+with no port-A stack (see its docstring).
 The state leaving the output port is ``device_matrix(layout, V) @ state``.
 
 The modulator sits at the midpoint index of the path; that placement matters
@@ -45,14 +47,11 @@ from .elements import (
     FaradayRotator,
     HalfWavePlate,
     Pbs,
+    _pbs_weights,
     element_matrix,
     half_wave_voltage,
-    pbs_combine_ports,
-    pbs_split,
 )
 from .polarization import (
-    H,
-    V,
     _as_state,
     _canonical_phases,
     _scaled_identity_infidelities,
@@ -151,22 +150,24 @@ def build_default_loop(
 
 
 def _compile(layout: LoopLayout) -> np.ndarray:
-    """The loop's fixed parts, shape (Eom axis H/V, port B/A, 2, 2): column j
-    of part [a, p] is port p's output for basis input j with the Eom replaced
-    by the projector onto axis a."""
+    """The loop's fixed parts, shape (Eom axis H/V, port B/A, 2, 2): part
+    [a, p] is port p's transfer matrix with the Eom replaced by the
+    projector onto axis a. Each arm's chain is traced with that projector,
+    its columns scaled by the splitter's ``split`` weights and its rows by
+    the ``combine`` weights (``elements._pbs_weights``); the two arms then
+    add up in each port."""
     chain = [None if isinstance(el, Eom) else element_matrix(el) for el in layout.cw_path]
-    splits = [pbs_split(layout.pbs, basis) for basis in (H, V)]
-    parts = []
+    split, combine = _pbs_weights(layout.pbs)
+    arms = []
     for projector in _AXIS_PROJECTORS:
         cw, ccw = np.eye(2, dtype=complex), np.eye(2, dtype=complex)
         for m in chain:
             cw = (projector if m is None else m) @ cw
         for m in reversed(chain):
             ccw = (projector if m is None else m) @ ccw
-        # Indexed (input column, port, row), turned to (port, row, column).
-        columns = [pbs_combine_ports(layout.pbs, cw @ t, ccw @ r) for t, r in splits]
-        parts.append(np.transpose(columns, (1, 2, 0)))
-    return np.array(parts)
+        arms.append((cw, ccw))
+    arms = np.array(arms) * split[:, None, :]  # (axis, arm, row, column)
+    return (combine[..., None] * arms[:, None]).sum(axis=2)
 
 
 def _stack(factors, parts) -> np.ndarray:

@@ -116,7 +116,8 @@ class TestMeasurementRecord:
             (0.5, -0.1, "need i_on >= i_off"),
             (0.0, 0.0, "need i_on >= i_off"),  # visibility 0 / 0
             (math.nan, 0.1, "need i_on >= i_off"),
-            (2e-12, -1e-12, "visibility out of range"),  # i_off inside the rounding allowance
+            (2e-12, -1e-12, "need i_on >= i_off"),  # i_off below the clamped background
+            (math.inf, 0.0, "need i_on >= i_off"),  # visibility inf / inf
         ],
     )
     def test_invalid_extrema_rejected(self, i_on, i_off, message):
@@ -272,6 +273,9 @@ class TestFringeLawProperties:
 
 
 class TestSawtoothSweep:
+    """The linear sweeps of ``table1_report`` and ``sweep_curve``: their
+    records, the fringe laws they read and their grid preconditions."""
+
     def test_ideal_record(self, ideal_setup, v_half):
         rec = table1_report(ideal_setup, [0.0], 2 * v_half, 2001)[0]
         assert rec.visibility == pytest.approx(1.0, abs=1e-9)

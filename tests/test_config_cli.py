@@ -355,6 +355,17 @@ class TestCli:
         assert "must exceed the hold duration" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_recovery_table_keeps_the_rates_the_hold_fits(self, tmp_path, capsys):
+        # A 1 us hold, as demo 04's, leaves out the table's 1 MHz rate, whose
+        # period equals the hold; the configured 100 kHz still fits it.
+        scene = tmp_path / "scene.ini"
+        scene.write_text(IDEAL_TEXT + "\n[recovery]\nrepetition_rate = 100k\nhold = 1u\n")
+        out = tmp_path / "o.csv"
+        assert main(["recovery", "--config", str(scene), "--out", str(out)]) == 0
+        assert "recovery_fraction=" in capsys.readouterr().out
+        rates = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+        assert len(rates) == 60 and rates.max() < 1e6
+
     @pytest.mark.parametrize(
         "line, key", [("output_port = C", "output_port"), ("eom_axis = X", "axis")]
     )

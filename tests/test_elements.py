@@ -15,8 +15,6 @@ from sagnacsim import (
     Pbs,
     element_matrix,
     half_wave_voltage,
-    pbs_combine_ports,
-    pbs_split,
     rotation,
     trace_ports,
 )
@@ -141,7 +139,7 @@ class TestElementMatrices:
         )
 
     def test_pbs_has_no_matrix(self):
-        with pytest.raises(ValueError, match="pbs_split"):
+        with pytest.raises(ValueError, match="no single transfer matrix"):
             element_matrix(Pbs())
 
     def test_eom_has_no_fixed_matrix(self):
@@ -203,43 +201,18 @@ def split_and_recombine(pbs: Pbs, s) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestPbs:
-    def test_ideal_split_h(self):
-        t, r = pbs_split(Pbs(), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(t, [1, 0], atol=1e-15)
-        np.testing.assert_allclose(r, [0, 0], atol=1e-15)
-
-    def test_ideal_split_45(self):
-        t, r = pbs_split(Pbs(), np.array([1.0, 1.0]) / math.sqrt(2))
-        assert np.sum(np.abs(t) ** 2) == pytest.approx(0.5)
-        assert np.sum(np.abs(r) ** 2) == pytest.approx(0.5)
-
-    def test_extinction_leakage_power(self):
-        beta = 0.8
-        t, _ = pbs_split(Pbs(extinction_t=0.1), np.array([0.6, beta]))
-        assert abs(t[1]) ** 2 == pytest.approx(0.01 * beta**2, rel=1e-12)
-
-    def test_split_conserves_power(self):
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            pbs = Pbs(extinction_t=rng.uniform(0, 0.29), extinction_r=rng.uniform(0, 0.29))
-            s = random_state(rng)
-            t, r = pbs_split(pbs, s)
-            assert np.sum(np.abs(t) ** 2) + np.sum(np.abs(r) ** 2) == pytest.approx(
-                1.0, abs=1e-12
-            )
-
     def test_ideal_round_trip(self):
         rng = np.random.default_rng(32)
         pbs = Pbs()
         for _ in range(100):
             s = random_state(rng)
-            np.testing.assert_allclose(pbs_combine_ports(pbs, *pbs_split(pbs, s))[0], s, atol=1e-12)
+            np.testing.assert_allclose(split_and_recombine(pbs, s)[0], s, atol=1e-12)
 
     def test_extinction_round_trip_second_order(self):
         eps = 0.05
         pbs = Pbs(extinction_t=eps, extinction_r=eps)
         s = np.array([0.6, 0.8], dtype=complex)
-        out = pbs_combine_ports(pbs, *pbs_split(pbs, s))[0]
+        out = split_and_recombine(pbs, s)[0]
         np.testing.assert_allclose(out, (1 - 2 * eps**2) * s, atol=1e-14)
         power_deficit = 1.0 - np.sum(np.abs(out) ** 2)
         assert power_deficit == pytest.approx(4 * eps**2, rel=0.01)
@@ -248,10 +221,9 @@ class TestPbs:
         rng = np.random.default_rng(33)
         for _ in range(300):
             pbs = Pbs(extinction_t=rng.uniform(0, 0.29), extinction_r=rng.uniform(0, 0.29))
-            x, y = random_state(rng), random_state(rng)
-            b, a = pbs_combine_ports(pbs, x, y)
+            b, a = split_and_recombine(pbs, random_state(rng))
             total = np.sum(np.abs(b) ** 2) + np.sum(np.abs(a) ** 2)
-            assert total == pytest.approx(2.0, abs=1e-12)
+            assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_first_order_leakage_reaches_port_a(self):
         # Each component's leakage amplitude, 2 eps sqrt(1 - eps^2) of it,
