@@ -12,8 +12,9 @@ sits a fingerprint (row count, header, and each column's min, max and sum as
 ``repr`` floats), so a broken hash names the column that moved. The library
 slice holds the compiled parts of a fixed set of layouts as one SHA-256, and
 the ``table1_report``, ``sweep_curve``, ``switching_trace`` and
-``fit_mosfet_on_r`` results on both configs, as ``repr`` floats or as an
-array's SHA-256 next to its min, max and sum. The stamp records where the
+``fit_mosfet_on_r`` results on both configs and the ``simulate`` samples of
+a few seeded driver transients, as ``repr`` floats or as an array's SHA-256
+next to its min, max and sum. The stamp records where the
 manifest was written; rounding can differ elsewhere.
 Rewriting the manifest changes what tier-1 checks: name each changed entry
 and its reason in CHANGES.md.
@@ -37,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from sagnacsim import (
+    DriveCircuit,
     Eom,
     FaradayRotator,
     GateSchedule,
@@ -49,6 +51,7 @@ from sagnacsim import (
     fit_mosfet_on_r,
     linear_state,
     parse_config,
+    simulate,
     sweep_curve,
     switching_trace,
     table1_report,
@@ -173,6 +176,30 @@ def _array_entry(values: np.ndarray) -> dict:
     }
 
 
+def _transients(rng: np.random.Generator) -> dict:
+    """Seeded driver transients, keyed by name: (circuit, gates, t_end, dt,
+    v_start). Trains of 2-5 pulses, one with a gate delay, one whose hold is
+    less than 1% above the rise time, and one grid of 110 000 samples, more
+    than three blocks of 32 768 and ending in a partial one."""
+    cases = {}
+    specs = [(f"train{k}", k, 0.0, rng.uniform(0.01, 2.0), 4000) for k in range(2, 6)]
+    specs += [("gate_delay", 3, rng.uniform(0.5, 5.0), rng.uniform(0.01, 2.0), 4000),
+              ("tight_hold", 3, 0.0, rng.uniform(0.001, 0.009), 4000),
+              ("long_grid", 4, rng.uniform(0.0, 2.0), rng.uniform(0.01, 2.0), 110_000)]
+    for name, pulses, delay, margin, n in specs:
+        on_r = rng.uniform(5.0, 150.0)
+        tau_on = on_r * 50e-12
+        circuit = DriveCircuit(rng.uniform(1.0, 200.0), 20e3, 50e-12, on_r,
+                               tau_on * rng.uniform(0.1, 3.0), tau_on * delay)
+        dt = tau_on / 10.0 * rng.uniform(0.2, 0.95)
+        t_end = dt * (n - 0.5)
+        period = t_end / (pulses + 1)
+        on_times = tuple(period * (i + rng.uniform(0.2, 0.8)) for i in range(pulses))
+        gates = GateSchedule(on_times, circuit.gate_rise_time * (1.0 + margin))
+        cases[name] = (circuit, gates, t_end, dt, circuit.supply_voltage * rng.uniform(0.0, 1.0))
+    return cases
+
+
 def library_entries() -> dict:
     """Entries of the library's compiled parts and bench results."""
     scenes = {name: parse_config((ROOT / "demos" / "configs" / name).read_text(encoding="utf-8"))
@@ -188,6 +215,10 @@ def library_entries() -> dict:
     for layout in layouts:
         parts.update(layout._parts.tobytes())
     entries = {"parts": {"layouts": len(layouts), "sha256": parts.hexdigest()}}
+    entries["simulate"] = {
+        name: _array_entry(simulate(circuit, gates, t_end, dt, v_start=v_start).samples)
+        for name, (circuit, gates, t_end, dt, v_start) in _transients(np.random.default_rng(26)).items()
+    }
     for name, cfg in scenes.items():
         setup, circuit, trace = cfg.mz_setup(), cfg.drive_circuit(), cfg.trace
         gates = GateSchedule((trace.gate_on,), trace.hold)
