@@ -27,12 +27,21 @@ finder address samples by that grid index and never build an array of times.
 Both walk the samples in fixed blocks that fit in a core's L2 cache.
 ``simulate``'s output starts empty, and its block walk is the only pass
 over it: each block is filled with its grid indices k, turned in place into
-the offsets k * dt - start and then into the voltages, and checked and
-bounded (min, max) while it is still in cache, so a gate off or on block
-allocates nothing; each segment's end value, which starts the next segment,
-takes one more call. A ``Waveform`` holds the range of its samples, taken
-when it is built; the edge finder reads its levels from that range and
-searches block by block, stopping at the first crossing.
+the voltages, and checked and bounded (min, max) while it is still in cache.
+A gate off or on block evaluates
+
+  v = target + (v0 - target) * exp((k - start / dt) * (-dt / tau))
+
+with start / dt and -dt / tau taken once per segment, so it divides no
+sample and allocates nothing; a ramp block builds its offsets k * dt - start.
+Each segment's end value, which starts the next segment, is the same law at
+k = (end - start) / dt with start 0. On the grid dt / 2 a sample's index,
+start / dt, dt / tau and (end - start) / dt are each scaled by an exact
+power of two and k * dt is the same product, so sample 2k there has the
+bits of sample k on the grid dt; and no sample depends on the block size.
+A ``Waveform`` holds the range of its samples, taken when it is built; the
+edge finder reads its levels from that range and searches block by block,
+stopping at the first crossing.
 """
 
 from __future__ import annotations
@@ -270,22 +279,25 @@ def _ramp_rate(circuit: DriveCircuit) -> float:
     return 1.0 / product if product > 0.0 else math.inf
 
 
-def _relax(target: float, tau: float, v0: float, u: np.ndarray) -> np.ndarray:
+def _relax(target: float, tau: float, v0: float, k: np.ndarray, start: float, dt: float) -> np.ndarray:
     """Gate off or fully on: V relaxes from v0 toward target with constant tau.
 
-    Overwrites u in place, each value through the same IEEE operations as
-    target + (v0 - target) * exp(-u / tau), and returns it."""
-    u /= -tau
-    np.exp(u, out=u)
-    u *= v0 - target
-    u += target
-    return u
+    Overwrites k, an array of grid indices, in place with
+    target + (v0 - target) * exp((k - start / dt) * (-dt / tau)) and returns
+    it; both scalars are taken once, so no sample is divided."""
+    k -= start / dt
+    k *= -dt / tau
+    np.exp(k, out=k)
+    k *= v0 - target
+    k += target
+    return k
 
 
-def _ramp(circuit: DriveCircuit, v0: float, u: np.ndarray) -> np.ndarray:
-    # dV/du = (supply/R - V (1/R + u / (R_on t_rise))) / C
+def _ramp(circuit: DriveCircuit, v0: float, k: np.ndarray, start: float, dt: float) -> np.ndarray:
+    # dV/du = (supply/R - V (1/R + u / (R_on t_rise))) / C, u = k dt - start
     # V(u) = e^{-B} v0 + supply (p / sqrt(q)) (F(z1) - e^{-B} F(z0)), F = Dawson
     # with B = p u + q u^2, z0 = p / (2 sqrt(q)), z1 = z0 + sqrt(q) u.
+    u = k * dt - start
     p = 1.0 / (circuit.recharge_r * circuit.total_c)
     q = _ramp_rate(circuit)
     sq = math.sqrt(q)
@@ -298,8 +310,9 @@ def _ramp(circuit: DriveCircuit, v0: float, u: np.ndarray) -> np.ndarray:
 
 def _segments(circuit: DriveCircuit, gates: GateSchedule) -> list:
     """The driver's timeline: ``(start, evaluate)`` rows in time order, with
-    ``evaluate(v0, u)`` the voltage u seconds into the segment from v0; it
-    may overwrite the float array u, and the gate off and on rows do.
+    ``evaluate(v0, k, start, dt)`` the voltage at the grid indices k (a float
+    array) of the grid dt, for the segment that leaves v0 at ``start``; it
+    may overwrite k, and the gate off and on rows do.
 
     Row 0 is the gate off from t = 0, then each pulse adds its ramp, on state
     and off state; so row 3 starts where the first conduction window ends.
@@ -313,15 +326,6 @@ def _segments(circuit: DriveCircuit, gates: GateSchedule) -> list:
         rows += [(start, ramp), (start + circuit.gate_rise_time, on),
                  (start + gates.hold_duration, off)]
     return rows
-
-
-def _evaluate_block(u: np.ndarray, dt: float, start: float, evaluate, v0: float) -> None:
-    """Overwrite u, a block of grid indices k, with evaluate(v0, k * dt - start).
-    The offsets are built in u itself, so an evaluator that works in place
-    allocates nothing."""
-    u *= dt
-    u -= start
-    u[...] = evaluate(v0, u)
 
 
 def simulate(
@@ -343,7 +347,9 @@ def simulate(
     allocation, and it is written once: it starts empty, and each block is
     filled with its grid indices, overwritten in place with its voltages and
     checked and bounded while it is in cache, so the waveform's range needs
-    no pass of its own.
+    no pass of its own. Each sample is a function of its grid index through
+    per-segment scalars that scale by exact powers of two with dt, so
+    halving dt keeps every other sample bit for bit.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0.0):
@@ -375,11 +381,12 @@ def simulate(
         for a in range(lo, hi, _BLOCK):
             block = samples[a : min(a + _BLOCK, hi)]
             np.add(_INDEX[: len(block)], a, out=block)
-            _evaluate_block(block, dt, start, evaluate, v0)
+            block[...] = evaluate(v0, block, start, dt)
             bounds = _finite_range(block, bounds)
         # The segment's end value starts the next one (unused after the last
-        # segment, where end is inf).
-        v0 = float(evaluate(v0, np.array([end - start]))[0])
+        # segment, where end is inf): the same law at the end's offset from
+        # the start, in grid steps.
+        v0 = float(evaluate(v0, np.array([(end - start) / dt]), 0.0, dt)[0])
     return Waveform._owned(dt, samples, bounds)
 
 

@@ -1,6 +1,6 @@
+import decimal
 import math
 import warnings
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -492,6 +492,13 @@ edge_cases = given(
 )
 
 
+# Largest error of the gate off and on law, in ulps of max(|v0|, |target|),
+# near the start of a segment: the law target + (v0 - target) exp(-(k dt -
+# start) / tau) evaluated with one division per sample read 3.95 at most over
+# 600 000 random draws.
+RELAX_ULPS = 4
+
+
 # Block sizes far below the default put segment ends, crossings and the final
 # partial block on and around block edges.
 SMALL_BLOCKS = [1, 2, 7]
@@ -551,25 +558,53 @@ class TestTransientProperties:
         b = a + length
         start = a * dt * start_share
         tau = tau_scale * (b * dt - start)
-        want = target + (v0 - target) * np.exp(-(np.arange(a, b) * dt - start) / tau)
+        want = target + (v0 - target) * np.exp((np.arange(a, b) - start / dt) * (-dt / tau))
         first = min(pad, a)
         grid = np.arange(a - first, b + pad, dtype=float)
-        circuit_module._evaluate_block(
-            grid[first : first + length], dt, start, partial(circuit_module._relax, target, tau), v0
-        )
+        circuit_module._relax(target, tau, v0, grid[first : first + length], start, dt)
         assert np.array_equal(grid[first : first + length], want)
         # The neighbours of the block keep their indices.
         assert np.array_equal(grid[:first], np.arange(a - first, a))
         assert np.array_equal(grid[first + length :], np.arange(b, b + pad))
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        dt=st.floats(1e-14, 1e-6),
+        tau_steps=st.floats(1.0, 1e6),
+        start_share=st.floats(0.0, 1.0),
+        offset_share=st.floats(0.0, 3.0),
+        v0=st.floats(-200.0, 200.0),
+        target=st.floats(-200.0, 200.0),
+    )
+    def test_relax_is_within_ulps_of_the_closed_form(self, dt, tau_steps, start_share, offset_share, v0, target):
+        # A segment starting within one tau of t = 0, sampled up to three tau
+        # into it, stays within RELAX_ULPS ulps of max(|v0|, |target|) of
+        # target + (v0 - target) exp(-(k dt - start) / tau) at 40 digits.
+        tau = tau_steps * dt
+        start = start_share * tau
+        first = math.ceil(start / dt) + math.floor(offset_share * tau_steps)
+        k = np.arange(first, first + 20, dtype=float)
+        got = circuit_module._relax(target, tau, v0, k.copy(), start, dt)
+        D = decimal.Decimal
+        with decimal.localcontext(prec=40):
+            want = [D(target) + (D(v0) - D(target)) * ((D(start) - D(int(j)) * D(dt)) / D(tau)).exp() for j in k]
+            error = max(abs(D(float(g)) - w) for g, w in zip(got, want))
+            assert error <= RELAX_ULPS * D(math.ulp(max(abs(v0), abs(target))))
+
     @pytest.mark.parametrize("block", [7, circuit_module._BLOCK])
     def test_index_fill_is_the_grid_arange(self, block):
-        # With the evaluation left out, the output holds the indices each
-        # block was filled with: exactly np.arange over the whole grid, across
-        # block and segment edges and a partial last block.
+        # With every segment's evaluator returning the indices it was given,
+        # the output holds the indices each block was filled with: exactly
+        # np.arange over the whole grid, across block and segment edges and a
+        # partial last block.
+        segments = circuit_module._segments
+
+        def unevaluated(circuit, gates):
+            return [(start, lambda v0, k, start, dt: k) for start, _ in segments(circuit, gates)]
+
         c = reference_circuit()
         gates = GateSchedule((2e-9, 62e-9, 122e-9), 30e-9)
-        with blocks_of(block), mock.patch.object(circuit_module, "_evaluate_block", lambda *args: None):
+        with blocks_of(block), mock.patch.object(circuit_module, "_segments", unevaluated):
             got = simulate(c, gates, 1.6e-6, 10e-12).samples
         want = np.arange(len(got), dtype=float)
         assert len(got) > circuit_module._BLOCK and len(got) % block
@@ -582,8 +617,8 @@ class TestTransientProperties:
         # min and max would drop a NaN.
         relax, calls = circuit_module._relax, []
 
-        def poisoned(target, tau, v0, u):
-            out = relax(target, tau, v0, u)
+        def poisoned(target, tau, v0, k, start, dt):
+            out = relax(target, tau, v0, k, start, dt)
             calls.append(len(out))
             if len(calls) == 2:
                 out[3] = value
