@@ -71,7 +71,7 @@ def _run_device_matrix(cfg: SceneConfig) -> _Report:
     layout = cfg.loop_layout()
     voltages = _scan_voltages(cfg, layout)
     matrices = device_matrix_batch(layout, voltages)
-    rows = np.column_stack([voltages, matrices.reshape(-1, 4).view(float)])
+    rows = np.column_stack([voltages, matrices.reshape(-1, 4).view(float)]).tolist()
     header = ["voltage_V", "m00_re", "m00_im", "m01_re", "m01_im",
               "m10_re", "m10_im", "m11_re", "m11_im"]
     v_half = half_wave_voltage(layout.crystal)
@@ -111,16 +111,18 @@ def _run_transient(cfg: SceneConfig) -> _Report:
     state = linear_state(math.radians(trace.input_angle_deg))
     result = switching_trace(setup, state, circuit, gates, trace.t_end, trace.dt)
     times = result.voltage.times
-    rows = np.column_stack([times, result.voltage.samples, result.intensity.samples])
+    rows = np.column_stack([times, result.voltage.samples, result.intensity.samples]).tolist()
     return ["t_s", "v_V", "intensity"], rows, f"transient: optical_10_90={_fmt(result.optical_10_90)} s"
 
 
 def _run_recovery(cfg: SceneConfig) -> _Report:
     circuit = cfg.drive_circuit()
     rec = cfg.recovery
-    # recovery_fraction refuses a period that does not exceed the hold: the
-    # table leaves those rates out, and only the configured rate must fit.
-    rates = np.geomspace(10e3, 1e6, 61)
+    # One decade either side of the configured rate. recovery_fraction
+    # refuses a period that does not exceed the hold: the table leaves those
+    # rates out, and only the configured rate must fit, so the lower half of
+    # the table fits too.
+    rates = np.geomspace(rec.repetition_rate / 10, rec.repetition_rate * 10, 61)
     rows = [[rate, recovery_fraction(circuit, rate, rec.hold)] for rate in rates if 1.0 / rate > rec.hold]
     fraction = recovery_fraction(circuit, rec.repetition_rate, rec.hold)
     return ["repetition_rate_hz", "recovery_fraction"], rows, f"recovery_fraction={fraction:.5f}"

@@ -346,8 +346,8 @@ class TestCli:
         assert not out.exists()
 
     def test_failed_summary_writes_no_csv(self, tmp_path, capsys):
-        # Every rate of the sweep has a period above the 500 ns hold; only the
-        # summary's 3 MHz does not, so the command fails after its table.
+        # The table keeps the rates whose period exceeds the 500 ns hold; the
+        # summary's 3 MHz does not fit it, so the command fails after its table.
         bad = tmp_path / "bad.ini"
         bad.write_text(IDEAL_TEXT + "\n[recovery]\nrepetition_rate = 3M\nhold = 500n\n")
         out = tmp_path / "o.csv"
@@ -365,6 +365,19 @@ class TestCli:
         assert "recovery_fraction=" in capsys.readouterr().out
         rates = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
         assert len(rates) == 60 and rates.max() < 1e6
+
+    def test_recovery_table_spans_the_configured_rate(self, tmp_path, capsys):
+        # At 1 kHz a 200 us hold fits every rate up to 5 kHz: a table of the
+        # decade either side of 1 kHz keeps 51 of its 61 rates, where a fixed
+        # 10 kHz - 1 MHz table would keep none.
+        scene = tmp_path / "scene.ini"
+        scene.write_text(IDEAL_TEXT + "\n[recovery]\nrepetition_rate = 1k\nhold = 200u\n")
+        out = tmp_path / "o.csv"
+        assert main(["recovery", "--config", str(scene), "--out", str(out)]) == 0
+        assert "recovery_fraction=" in capsys.readouterr().out
+        rates = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+        assert len(rates) == 51
+        assert rates.min() == pytest.approx(100.0) and rates.max() < 5e3
 
     @pytest.mark.parametrize(
         "line, key", [("output_port = C", "output_port"), ("eom_axis = X", "axis")]
