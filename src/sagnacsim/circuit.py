@@ -284,7 +284,8 @@ def _relax(target: float, tau: float, v0: float, k: np.ndarray, start: float, dt
 
     Overwrites k, an array of grid indices, in place with
     target + (v0 - target) * exp((k - start / dt) * (-dt / tau)) and returns
-    it; both scalars are taken once, so no sample is divided."""
+    it. start / dt and -dt / tau are taken once per call, so no sample is
+    divided."""
     k -= start / dt
     k *= -dt / tau
     np.exp(k, out=k)

@@ -14,8 +14,8 @@ slice holds the compiled parts of a fixed set of layouts as one SHA-256, and
 the ``table1_report``, ``sweep_curve``, ``switching_trace`` and
 ``fit_mosfet_on_r`` results on both configs and the ``simulate`` samples of
 a few seeded driver transients, as ``repr`` floats or as an array's SHA-256
-next to its min, max and sum. The stamp records where the
-manifest was written; rounding can differ elsewhere.
+next to its min, max and sum. The stamp records where the manifest was
+written; rounding can differ elsewhere.
 Rewriting the manifest changes what tier-1 checks: name each changed entry
 and its reason in CHANGES.md.
 """
