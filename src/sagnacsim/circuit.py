@@ -334,15 +334,14 @@ def simulate(
     gates: GateSchedule,
     t_end: float,
     dt: float,
-    v_start: float = 0.0,
+    v_start: float,
 ) -> Waveform:
     """Voltage across the modulator on a uniform grid from 0 to ``t_end``.
 
     ``dt`` must resolve the fast discharge edge: dt < R_on * C / 10. A grid
-    of more than 10**8 samples is refused before anything is allocated. The
-    initial voltage defaults to a fully discharged crystal. On times and the
-    gate delay are non-negative, so the gate is off at t = 0 and the waveform
-    starts from ``v_start``.
+    of more than 10**8 samples is refused before anything is allocated. On
+    times and the gate delay are non-negative, so the gate is off at t = 0
+    and the waveform starts from ``v_start``, which has no 0 V default.
 
     Beyond one block's temporaries in a gate ramp, the output is the only
     allocation, and it is written once: it starts empty, and each block is

@@ -25,7 +25,7 @@ from .bench import insertion_loss, switching_trace, table1_report
 from .circuit import GateSchedule, recovery_fraction
 from .config import ConfigError, SceneConfig, parse_config, parse_number
 from .elements import half_wave_voltage
-from .loop import LoopLayout, device_matrix_batch, independence_scan
+from .loop import LoopLayout, device_matrix, independence_scan
 from .polarization import linear_state
 
 def _number(text: str) -> float:
@@ -70,7 +70,7 @@ _Report = tuple[Sequence[str], Sequence[Sequence[float]], str]
 def _run_device_matrix(cfg: SceneConfig) -> _Report:
     layout = cfg.loop_layout()
     voltages = _scan_voltages(cfg, layout)
-    matrices = device_matrix_batch(layout, voltages)
+    matrices = device_matrix(layout, voltages)
     rows = np.column_stack([voltages, matrices.reshape(-1, 4).view(float)]).tolist()
     header = ["voltage_V", "m00_re", "m00_im", "m01_re", "m01_im",
               "m10_re", "m10_im", "m11_re", "m11_im"]

@@ -186,7 +186,7 @@ def _pbs_weights(pbs: Pbs) -> tuple[np.ndarray, np.ndarray]:
 class Mirror:
     """Ideal mirror contributing a common phase offset (rad)."""
 
-    phase_offset: float = 0.0
+    phase_offset: float
 
     def __post_init__(self):
         if not math.isfinite(self.phase_offset):

@@ -21,11 +21,12 @@ projector and weighting them with the beam splitter's split and combine
 weights (``elements._pbs_weights``). A layout compiles once, when it is
 constructed, and holds the parts read-only; so an element without a
 transfer matrix fails there, and evaluating a layout builds no element
-matrix. ``device_matrix_batch`` stacks the phase factors with the output
-port's parts (``_stack``), and ``trace_ports`` with both ports' parts at
-one voltage. ``independence_scan`` builds the same output-port stack as
-``device_matrix_batch`` and reads port A's power from the parts alone,
-with no port-A stack (see its docstring).
+matrix. ``device_matrix``, the one evaluator, stacks the phase factors at
+voltages of any shape with the output port's parts (``_stack``);
+``device_matrix_batch`` is the same function, kept for the benchmark until
+ROADMAP item 1. ``trace_ports`` stacks both ports' parts at one voltage.
+``independence_scan`` builds the output port's stack and reads port A's
+power from the parts alone, with no port-A stack (see its docstring).
 The state leaving the output port is ``device_matrix(layout, V) @ state``.
 
 The modulator sits at the midpoint index of the path; that placement matters
@@ -202,20 +203,19 @@ def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.nda
     return tuple(_stack(layout.eom.phase_factors(drive_voltage), layout._parts) @ _as_state(state))
 
 
-def device_matrix(layout: LoopLayout, drive_voltage: float) -> np.ndarray:
-    """Effective 2x2 transfer matrix of the loop at one drive voltage.
+def device_matrix(layout: LoopLayout, voltages) -> np.ndarray:
+    """Effective 2x2 transfer matrices of the loop at its output port for
+    drive voltages of any shape, shape voltages.shape + (2, 2).
 
     Columns are the outputs for H and V inputs; by linearity the output for
     any superposition is this matrix applied to it.
     """
-    return device_matrix_batch(layout, drive_voltage)
-
-
-def device_matrix_batch(layout: LoopLayout, voltages) -> np.ndarray:
-    """Device matrices at the layout's output port for an array of voltages,
-    shape voltages.shape + (2, 2)."""
     factors = layout.eom.phase_factors(np.asarray(voltages, dtype=float))
     return _stack(factors, layout._parts[:, _PORTS.index(layout.output_port)])
+
+
+# perfbench/workloads.py and selftest.py call this name until ROADMAP item 1.
+device_matrix_batch = device_matrix
 
 
 def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recarray:
@@ -234,7 +234,7 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
     no longer tell its direction.
 
     The phase factors are evaluated once. The output port's figures come
-    from its stack of device matrices, the one ``device_matrix_batch``
+    from its stack of device matrices, the one ``device_matrix``
     returns, with each entry's squared modulus taken once for both the pivot
     and the Frobenius norm. Port A's power needs no stack: with the port-A
     parts A_H, A_V, |f_H| = |f_V| = 1 and <X, Y> = sum conj(X) Y it is

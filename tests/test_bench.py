@@ -272,7 +272,7 @@ class TestFringeLawProperties:
             assert background <= intensities.min() <= background + 1e-15
 
 
-class TestSawtoothSweep:
+class TestSweepRecords:
     """The linear sweeps of ``table1_report`` and ``sweep_curve``: their
     records, the fringe laws they read and their grid preconditions."""
 
@@ -546,7 +546,7 @@ class TestSwitchingTrace:
         # The returned voltage takes 8 B per sample; the blocks are evaluated
         # in place in it, and the waveform takes its range with no temporary.
         circuit, gates = switch_parts(v_half)
-        args = (circuit, gates, 2e-5, 10e-12)
+        args = (circuit, gates, 2e-5, 10e-12, 0.0)
         simulate(*args)
         tracemalloc.start()
         try:

@@ -157,12 +157,12 @@ class TestSimulate:
     )
     def test_grid_must_be_finite_and_positive(self, t_end, dt):
         with pytest.raises(ValueError, match="finite and positive"):
-            simulate(reference_circuit(), GateSchedule((1e-9,), 1e-8), t_end, dt)
+            simulate(reference_circuit(), GateSchedule((1e-9,), 1e-8), t_end, dt, v_start=0.0)
 
     def test_hold_must_exceed_rise_time(self):
         c = reference_circuit()
         with pytest.raises(ValueError, match="hold_duration must exceed the gate rise time"):
-            simulate(c, GateSchedule((1e-9,), c.gate_rise_time), 5e-9, 1e-11)
+            simulate(c, GateSchedule((1e-9,), c.gate_rise_time), 5e-9, 1e-11, v_start=0.0)
 
     @pytest.mark.parametrize("fraction", [-0.02, 1.02, math.nan])
     def test_v_start_outside_range_rejected(self, fraction):
@@ -173,7 +173,7 @@ class TestSimulate:
     def test_dt_precondition(self):
         c = reference_circuit()
         with pytest.raises(ValueError, match="too coarse"):
-            simulate(c, GateSchedule((1e-6,), 1e-7), 2e-6, 1e-9)
+            simulate(c, GateSchedule((1e-6,), 1e-7), 2e-6, 1e-9, v_start=0.0)
 
     def test_grid_too_large_to_allocate(self):
         # 1e10 samples (80 GB) are refused before numpy is asked for them.
@@ -181,15 +181,15 @@ class TestSimulate:
         with mock.patch.object(np, "empty", side_effect=allocated), \
                 mock.patch.object(np, "arange", side_effect=allocated):
             with pytest.raises(ValueError, match="allocate"):
-                simulate(reference_circuit(), GateSchedule((1e-9,), 1e-8), 0.1, 1e-11)
+                simulate(reference_circuit(), GateSchedule((1e-9,), 1e-8), 0.1, 1e-11, v_start=0.0)
 
     def test_grid_cap_boundary(self):
         dt = 2.0**-37  # t_end / dt below is exact
         gates = GateSchedule((1e-9,), 1e-8)
         with mock.patch.object(circuit_module, "_MAX_SAMPLES", 11):
-            assert len(simulate(reference_circuit(), gates, 10 * dt, dt).samples) == 11
+            assert len(simulate(reference_circuit(), gates, 10 * dt, dt, v_start=0.0).samples) == 11
             with pytest.raises(ValueError, match="allocate"):
-                simulate(reference_circuit(), gates, 11 * dt, dt)
+                simulate(reference_circuit(), gates, 11 * dt, dt, v_start=0.0)
 
     def test_recharge_matches_closed_form(self):
         c = reference_circuit()
@@ -408,9 +408,9 @@ class TestDawson:
 
 
 @st.composite
-def transients(draw):
+def transients(draw, samples=4000.0):
     """A driver, a gate train reaching into the window, and a grid of at most
-    4000 samples."""
+    ``samples`` samples."""
     on_r = draw(st.floats(5.0, 150.0))
     circuit = DriveCircuit(
         supply_voltage=draw(st.floats(1.0, 200.0)),
@@ -421,7 +421,7 @@ def transients(draw):
         gate_delay=on_r * 50e-12 * draw(st.floats(0.0, 5.0)),
     )
     dt = on_r * 50e-12 / 10.0 * draw(st.floats(0.05, 0.95))
-    t_end = dt * draw(st.floats(1.0, 4000.0))
+    t_end = dt * draw(st.floats(1.0, samples))
     hold = circuit.gate_rise_time * draw(st.floats(1.01, 5.0))
     on_times = [t_end * draw(st.floats(0.0, 1.0))]
     for _ in range(draw(st.integers(0, 3))):
@@ -516,8 +516,11 @@ class TestTransientProperties:
 
     @pytest.mark.parametrize("block", SMALL_BLOCKS)
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(case=transients())
-    def test_simulate_grid_in_small_blocks(self, block, case):
+    @given(data=st.data())
+    def test_simulate_grid_in_small_blocks(self, block, data):
+        # simulate loops once per block, so blocks of 1 and 2 samples draw
+        # grids a tenth as long; they still span hundreds of blocks.
+        case = data.draw(transients(400.0 if block < 7 else 4000.0))
         with blocks_of(block):
             check_simulate_grid(case)
 
@@ -605,7 +608,7 @@ class TestTransientProperties:
         c = reference_circuit()
         gates = GateSchedule((2e-9, 62e-9, 122e-9), 30e-9)
         with blocks_of(block), mock.patch.object(circuit_module, "_segments", unevaluated):
-            got = simulate(c, gates, 1.6e-6, 10e-12).samples
+            got = simulate(c, gates, 1.6e-6, 10e-12, v_start=0.0).samples
         want = np.arange(len(got), dtype=float)
         assert len(got) > circuit_module._BLOCK and len(got) % block
         assert got.tobytes() == want.tobytes()
@@ -628,7 +631,7 @@ class TestTransientProperties:
         gates = GateSchedule((2e-9,), 30e-9)
         with blocks_of(7), mock.patch.object(circuit_module, "_relax", poisoned):
             with pytest.raises(ValueError, match="must be finite"):
-                simulate(c, gates, 40e-9, 10e-12)
+                simulate(c, gates, 40e-9, 10e-12, v_start=0.0)
         assert calls[:2] == [7, 7]
 
     def test_small_blocks_give_the_same_samples(self):

@@ -28,7 +28,7 @@ CALLERS = (
     ROOT / "perfbench" / "workloads.py",
 )
 # Public with no caller yet: the contract fuzzer and the run record planned
-# in ROADMAP.md (items 7 and 8) render scenes with it.
+# in ROADMAP.md (items 9 and 10) render scenes with it.
 UNCALLED = {"render_config"}
 
 
@@ -109,16 +109,22 @@ def test_every_public_name_has_a_caller():
     assert UNCALLED <= uncalled  # a name that gains a caller leaves the list
 
 
-def test_every_defaulted_parameter_is_set_by_a_caller():
-    # A default that no caller overrides is a constant: the parameter goes.
-    # A call to a function of the same name sets a parameter by keyword, by
-    # enough positional arguments to reach it, or by ** unpacking.
+@cache
+def calls_by_name() -> dict:
+    """Every call in CALLERS, keyed by the name it calls: ``f`` of ``f(...)``
+    and of ``x.f(...)``."""
     calls = {}
     for node in caller_nodes():
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             calls.setdefault(name, []).append(node)
-    unset = []
+    return calls
+
+
+def defaulted_parameters():
+    """(callee, position, name) of each defaulted parameter of each public
+    function and constructor, and of each public classmethod of a public
+    class."""
     for module in MODULES:
         for name in module.__all__:
             value = getattr(module, name)
@@ -133,13 +139,43 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
                 ]
             for callee, function in callees:
                 for i, param in enumerate(inspect.signature(function).parameters.values()):
-                    if param.default is not param.empty and not any(
-                        len(call.args) > i
-                        or any(keyword.arg in (param.name, None) for keyword in call.keywords)
-                        for call in calls.get(callee, ())
-                    ):
-                        unset.append(f"{callee}.{param.name}")
+                    if param.default is not param.empty:
+                        yield callee, i, param.name
+
+
+def sets(call: ast.Call, position: int, name: str, unpacking: bool) -> bool:
+    """Whether ``call`` sets the parameter ``name`` at ``position``: by enough
+    positional arguments to reach it, by keyword or, if ``unpacking``, by a
+    ``**`` unpacking that may hold it."""
+    return len(call.args) > position or any(
+        keyword.arg == name or (unpacking and keyword.arg is None) for keyword in call.keywords
+    )
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # A default that no caller overrides is a constant: the parameter goes.
+    # A call to a function of the same name sets a parameter by keyword, by
+    # enough positional arguments to reach it, or by ** unpacking.
+    calls = calls_by_name()
+    unset = [
+        f"{callee}.{name}"
+        for callee, i, name in defaulted_parameters()
+        if not any(sets(call, i, name, unpacking=True) for call in calls.get(callee, ()))
+    ]
     assert not unset, f"defaulted parameters no caller sets: {unset}"
+
+
+def test_no_default_is_set_by_every_caller():
+    # The converse: a default that every caller overrides is never used, so
+    # the parameter is required. A ** unpacking may leave the parameter to
+    # its default (``SceneConfig(**built)``), so it does not count as setting it.
+    calls = calls_by_name()
+    always = [
+        f"{callee}.{name}"
+        for callee, i, name in defaulted_parameters()
+        if calls.get(callee) and all(sets(call, i, name, unpacking=False) for call in calls[callee])
+    ]
+    assert not always, f"defaulted parameters every caller sets: {always}"
 
 
 # Lines each demo prints, and the file it writes, if any.
