@@ -385,7 +385,9 @@ class TestNonFiniteVoltage:
         with pytest.raises(ValueError, match="state must be finite"):
             call(ideal, [bad, 0.0], 0.0)
 
-    @pytest.mark.parametrize("call", [device_matrix_batch, independence_scan])
+    @pytest.mark.parametrize(
+        "call", [device_matrix_batch, independence_scan], ids=["device_matrix_batch", "independence_scan"]
+    )
     def test_finite_voltage_whose_phase_overflows(self, call):
         # pi * 1e308 / V_half overflows; it must raise, not warn and return NaN.
         path = Path(__file__).resolve().parents[1] / "demos/configs/fitted.ini"
