@@ -13,9 +13,10 @@ sits a fingerprint (row count, header, and each column's min, max and sum as
 slice holds the compiled parts of a fixed set of layouts as one SHA-256,
 their ``device_matrix`` stacks and ``independence_scan`` records as two more,
 and the ``table1_report``, ``sweep_curve``, ``switching_trace`` and
-``fit_mosfet_on_r`` results on both configs and the ``simulate`` samples of
-a few seeded driver transients, as ``repr`` floats or as an array's SHA-256
-next to its min, max and sum. The stamp records where the manifest was
+``fit_mosfet_on_r`` results on both configs, the ``sweep_curve`` fringes of
+a few seeded imperfect interferometers and the ``simulate`` samples of a few
+seeded driver transients, as ``repr`` floats or as an array's SHA-256 next
+to its min, max and sum. The stamp records where the manifest was
 written; rounding can differ elsewhere.
 Rewriting the manifest changes what tier-1 checks: name each changed entry
 and its reason in CHANGES.md.
@@ -47,6 +48,7 @@ from sagnacsim import (
     LoopLayout,
     LossElement,
     Mirror,
+    MzSetup,
     Pbs,
     build_default_loop,
     device_matrix,
@@ -170,7 +172,7 @@ def _random_layout(rng: np.random.Generator, crystal) -> LoopLayout:
     eom = Eom(crystal, axis=("H", "V")[rng.integers(2)])
     before = [element() for _ in range(rng.integers(4))]
     after = [element() for _ in range(rng.integers(4))]
-    return LoopLayout(pbs, (*before, eom, *after), ("B", "A")[rng.integers(2)])
+    return LoopLayout(pbs, (*before, eom, *after))
 
 
 def _array_entry(values: np.ndarray) -> dict:
@@ -204,16 +206,32 @@ def _transients(rng: np.random.Generator) -> dict:
     return cases
 
 
+def _imperfect_setups(rng: np.random.Generator, crystal) -> list:
+    """Seeded interferometers around random layouts, each with a mode
+    overlap below 1, a reference-arm phase diag(1, e^{i delta}), a
+    background and an arm imbalance."""
+    return [
+        MzSetup(
+            _random_layout(rng, crystal),
+            np.diag([1.0, np.exp(1j * rng.uniform(-math.pi, math.pi))]),
+            rng.uniform(0.5, 1.0),
+            rng.uniform(0.0, 0.05),
+            rng.uniform(0.5, 2.0),
+        )
+        for _ in range(4)
+    ]
+
+
 def _evaluator_entry(layouts: list, voltages: np.ndarray) -> dict:
     """One SHA-256 over the ``device_matrix`` stacks and one over the
     ``independence_scan`` record bytes of ``layouts`` at ``voltages``.
 
-    A layout whose output port goes dark at some voltage is left out until
-    ROADMAP item 5 decides what a dark port reports. Of the 1 008 layouts,
-    35 do: 26 random ones whose port is exactly zero, five whose port carries
-    only rounding residue and the four defaults with hwp_angle = 0, dark at
-    some rows. Each reads below 1e-28 of its throughput there and every other
-    row above 1e-12, so the floor of 1e-20 sits in a wide gap."""
+    A layout whose port B goes dark at some voltage is left out until
+    ROADMAP item 5 decides what a dark port reports. Of the 1 004 layouts,
+    six do: four random ones whose port B carries only rounding residue at
+    every voltage, and the two defaults with hwp_angle = 0, dark at V_half.
+    Each reads below 1e-28 of its throughput there and every other row above
+    1e-12, so the floor of 1e-20 sits in a wide gap."""
     matrices, scans = hashlib.sha256(), hashlib.sha256()
     lit = 0
     for layout in layouts:
@@ -235,14 +253,19 @@ def library_entries() -> dict:
     rng = np.random.default_rng(2025)
     layouts = [_random_layout(rng, crystal) for _ in range(1000)]
     layouts += [
-        build_default_loop(crystal, hwp_angle=math.radians(hwp), rotated_beam=beam, output_port=port)
-        for beam in ("cw", "ccw") for port in ("B", "A") for hwp in (22.5, 0.0)
+        build_default_loop(crystal, hwp_angle=math.radians(hwp), rotated_beam=beam)
+        for beam in ("cw", "ccw") for hwp in (22.5, 0.0)
     ]
     parts = hashlib.sha256()
     for layout in layouts:
         parts.update(layout._parts.tobytes())
     entries = {"parts": {"layouts": len(layouts), "sha256": parts.hexdigest()}}
     entries["evaluators"] = _evaluator_entry(layouts, np.linspace(0.0, 2.0 * half_wave_voltage(crystal), 101))
+    entries["sweep_curve"] = {
+        f"setup{k} {angle}deg": _array_entry(sweep_curve(setup, linear_state(math.radians(angle)), None, 2001)[1])
+        for k, setup in enumerate(_imperfect_setups(np.random.default_rng(28), crystal))
+        for angle in (0, 45)
+    }
     entries["simulate"] = {
         name: _array_entry(simulate(circuit, gates, t_end, dt, v_start=v_start).samples)
         for name, (circuit, gates, t_end, dt, v_start) in _transients(np.random.default_rng(26)).items()
