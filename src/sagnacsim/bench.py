@@ -17,10 +17,11 @@ fringe visibilities at gamma and pulls the 45 degree visibility down to
 gamma |cos(delta / 2)|, the signature of losing the phase relationship
 between the two polarization components.
 
-The bench evaluates this formula in closed form. The loop's output port is
-M_dev(V) = f_H(V) P_H + f_V(V) P_V with fixed parts P_H, P_V and unit phase
-factors |f_H| = |f_V| = 1, so with a = P_H s, c = P_V s, r = gamma sqrt(b)
-M_ref s and <x, y> = sum_j conj(x_j) y_j each reading is
+The bench evaluates this formula in closed form. The device arm carries the
+loop's exit port, port B: M_dev(V) = f_H(V) P_H + f_V(V) P_V with port B's
+fixed parts P_H, P_V and unit phase factors |f_H| = |f_V| = 1, so with
+a = P_H s, c = P_V s, r = gamma sqrt(b) M_ref s and
+<x, y> = sum_j conj(x_j) y_j each reading is
 
   I(V) = C0 + Re(K_hv conj(f_H) f_V + K_h f_H + K_v f_V)
   C0   = background + 1/4 (|a|^2 + |c|^2 + |r|^2)
@@ -53,7 +54,7 @@ import numpy as np
 from . import circuit as _circuit
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
 from .elements import CrystalSpec, half_wave_voltage
-from .loop import _PORTS, LoopLayout, _relative_factor
+from .loop import LoopLayout, _relative_factor
 from .polarization import _as_state, linear_state
 
 __all__ = [
@@ -138,8 +139,7 @@ def _fringe_coefficients(setup: MzSetup, states: list[np.ndarray]) -> np.ndarray
     imaginary parts of K_hv, K_h and K_v. Each row is worked out in Python
     scalars from its own state alone, so it does not depend on the states
     stacked with it."""
-    loop = setup.loop
-    part_h, part_v = loop._parts[:, _PORTS.index(loop.output_port)].tolist()
+    part_h, part_v = setup.loop._parts[:, 0].tolist()  # port B's
     ref_arm = setup.ref_arm.tolist()
     gamma, imbalance = setup.mode_overlap, setup.arm_imbalance
     scale = gamma * math.sqrt(imbalance)

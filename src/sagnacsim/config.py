@@ -77,7 +77,6 @@ class LoopConfig:
     eom_residual_phase_per_volt: float = 0.0
     pbs_extinction_t: float = 0.0
     pbs_extinction_r: float = 0.0
-    output_port: str = "B"
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,6 @@ class SceneConfig:
                 fr2_angle=None if lp.fr2_angle_deg is None else math.radians(lp.fr2_angle_deg),
                 hwp2_angle=None if lp.hwp2_angle_deg is None else math.radians(lp.hwp2_angle_deg),
                 eom_axis=lp.eom_axis,
-                output_port=lp.output_port,
             )
         except ValueError as exc:
             raise ConfigError(f"[loop]: {exc}") from None

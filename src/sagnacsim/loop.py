@@ -21,13 +21,15 @@ projector and weighting them with the beam splitter's split and combine
 weights (``elements._pbs_weights``). A layout compiles once, when it is
 constructed, and holds the parts read-only; so an element without a
 transfer matrix fails there, and evaluating a layout builds no element
-matrix. ``device_matrix``, the one evaluator, stacks the phase factors at
-voltages of any shape with the output port's parts (``_stack``);
-``device_matrix_batch`` is the same function, kept for the benchmark until
-ROADMAP item 1. ``trace_ports`` stacks both ports' parts at one voltage.
-``independence_scan`` builds the output port's stack and reads port A's
-power from the parts alone, with no port-A stack (see its docstring).
-The state leaving the output port is ``device_matrix(layout, V) @ state``.
+matrix. The device is port B, the exit port: a layout stores only its
+splitter and its path, and port A, the input side, is read as leakage.
+``device_matrix``, the one evaluator, stacks the phase factors at voltages
+of any shape with port B's parts (``_stack``); ``device_matrix_batch`` is
+the same function, kept for the benchmark until ROADMAP item 1.
+``trace_ports`` stacks both ports' parts at one voltage.
+``independence_scan`` builds port B's stack and reads port A's power from
+the parts alone, with no port-A stack (see its docstring). The state
+leaving port B is ``device_matrix(layout, V) @ state``.
 
 The modulator sits at the midpoint index of the path; that placement matters
 for the timing symmetry of the two beams in the physical device, not for the
@@ -68,7 +70,6 @@ __all__ = [
     "trace_ports",
 ]
 
-_PORTS = ("B", "A")
 # The columns of an independence scan, one row per voltage.
 _SCAN_FIELDS = ("voltage", "global_phase", "infidelity", "port_a_power")
 # Modulator replaced by the projector onto its H, then its V axis.
@@ -79,18 +80,15 @@ _AXIS_PROJECTORS = (np.diag([1.0 + 0.0j, 0.0j]), np.diag([0.0j, 1.0 + 0.0j]))
 class LoopLayout:
     """One shared element list read in both directions.
 
-    ``cw_path`` as seen by the clockwise beam; the counter-clockwise beam
-    reads it in reverse, with the same element matrices. ``output_port``
-    selects the recombined output that ``device_matrix`` describes: "B", the
-    exit port distinct from the input (the default), or "A", the input-side
-    return port. The layout's ``crystal`` is its one modulator's. The compiled
-    parts are not a field of equality, hashing or ``dataclasses.replace``:
-    a replaced layout compiles anew.
+    A layout stores its splitter ``pbs`` and its path ``cw_path``, as seen by
+    the clockwise beam; the counter-clockwise beam reads it in reverse, with
+    the same element matrices. The layout's ``crystal`` is its one
+    modulator's. The compiled parts are not a field of equality, hashing or
+    ``dataclasses.replace``: a replaced layout compiles anew.
     """
 
     pbs: Pbs
     cw_path: tuple
-    output_port: str = "B"
     _parts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,8 +96,6 @@ class LoopLayout:
         eoms = [e for e in self.cw_path if isinstance(e, Eom)]
         if len(eoms) != 1:
             raise ValueError(f"cw_path must contain exactly one Eom, found {len(eoms)}")
-        if self.output_port not in _PORTS:
-            raise ValueError(f"output_port must be 'A' or 'B', got {self.output_port!r}")
         parts = _compile(self)
         parts.setflags(write=False)
         object.__setattr__(self, "_parts", parts)
@@ -123,7 +119,6 @@ def build_default_loop(
     fr2_angle: float | None = None,
     hwp2_angle: float | None = None,
     eom_axis: str | None = None,
-    output_port: str = "B",
 ) -> LoopLayout:
     """Five-element loop with the modulator at the center (index 2).
 
@@ -147,7 +142,7 @@ def build_default_loop(
               FaradayRotator(fr_angle if fr2_angle is None else fr2_angle))
     if rotated_beam == "ccw":  # rotator ahead of the plate on both sides
         first, second = first[::-1], second[::-1]
-    return LoopLayout(pbs or Pbs(), (*first, eom, *second), output_port)
+    return LoopLayout(pbs or Pbs(), (*first, eom, *second))
 
 
 def _compile(layout: LoopLayout) -> np.ndarray:
@@ -204,14 +199,14 @@ def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.nda
 
 
 def device_matrix(layout: LoopLayout, voltages) -> np.ndarray:
-    """Effective 2x2 transfer matrices of the loop at its output port for
-    drive voltages of any shape, shape voltages.shape + (2, 2).
+    """Effective 2x2 transfer matrices of the loop at its exit port, port B,
+    for drive voltages of any shape, shape voltages.shape + (2, 2).
 
     Columns are the outputs for H and V inputs; by linearity the output for
     any superposition is this matrix applied to it.
     """
     factors = layout.eom.phase_factors(np.asarray(voltages, dtype=float))
-    return _stack(factors, layout._parts[:, _PORTS.index(layout.output_port)])
+    return _stack(factors, layout._parts[:, 0])
 
 
 # perfbench/workloads.py and selftest.py call this name until ROADMAP item 1.
@@ -222,7 +217,7 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
     """Phase and polarization-independence figures across a 1-D voltage list.
 
     One row per voltage, with the columns ``voltage``, ``global_phase`` (the
-    unwrapped global phase of the device matrix), ``infidelity`` (the
+    unwrapped global phase of port B's device matrix), ``infidelity`` (the
     scale-invariant identity infidelity, zero for a pure global phase even
     when the layout leaks power) and ``port_a_power`` (the input-averaged
     power returned to port A, 0.5 * ||M_A||_F^2). Each column is also an
@@ -233,17 +228,16 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
     than V_half, the step at which the phase moves by pi and unwrapping can
     no longer tell its direction.
 
-    The phase factors are evaluated once. The output port's figures come
-    from its stack of device matrices, the one ``device_matrix``
-    returns, with each entry's squared modulus taken once for both the pivot
+    The phase factors are evaluated once. Port B's figures come from its
+    stack of device matrices, the one ``device_matrix`` returns, with each entry's squared modulus taken once for both the pivot
     and the Frobenius norm. Port A's power needs no stack: with the port-A
     parts A_H, A_V, |f_H| = |f_V| = 1 and <X, Y> = sum conj(X) Y it is
 
       0.5 ||M_A||_F^2 = 0.5 (||A_H||^2 + ||A_V||^2) + Re(conj(f_H) f_V <A_H, A_V>),
 
     taken in real products and clamped at 0, the law's exact floor, which
-    rounding can undercut by about 1e-16. The output port's columns stay on
-    the stack: the same law for ||M||_F^2 cancels to 0 or below where a port
+    rounding can undercut by about 1e-16. Port B's columns stay on the
+    stack: the same law for ||M||_F^2 cancels to 0 or below where port B
     goes dark (``build_default_loop(crystal, hwp_angle=0.0)`` at V_half), and
     a law for |tr M|^2 would lose half its digits to the square root where
     tr M vanishes.
@@ -257,11 +251,11 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
     v_half = half_wave_voltage(layout.crystal)
     if np.any(np.abs(np.diff(voltages)) >= v_half):
         raise ValueError(f"voltage step reaches the half-wave voltage {v_half:g} V: phase aliases")
-    matrices = _stack(factors, layout._parts[:, _PORTS.index(layout.output_port)])
+    matrices = _stack(factors, layout._parts[:, 0])
     squared = _squared_moduli(matrices)
     phases = np.unwrap(_canonical_phases(matrices, squared)[0])
     infidelities = _scaled_identity_infidelities(matrices, squared)
-    part_h, part_v = layout._parts[:, _PORTS.index("A")].reshape(2, 4)
+    part_h, part_v = layout._parts[:, 1].reshape(2, 4)
     cross = complex(np.vdot(part_h, part_v))  # <A_H, A_V>
     g_re, g_im = _relative_factor(*factors)
     leaks = cross.real * g_re

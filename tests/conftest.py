@@ -57,11 +57,12 @@ def random_imperfect_layout(rng: np.random.Generator) -> LoopLayout:
     return LoopLayout(pbs=pbs, cw_path=path)
 
 
-def oracle_device_matrix(layout: LoopLayout, voltage: float) -> np.ndarray:
-    """Brute-force loop transfer matrix, written independently of the
-    package internals: its own rotation matrices, its own half-wave-voltage
-    arithmetic, explicit per-component PBS leakage, and explicit matrix
-    products in traversal order."""
+def oracle_device_matrix(layout: LoopLayout, voltage: float, port: str = "B") -> np.ndarray:
+    """Brute-force loop transfer matrix at ``port``: "B", the exit port and
+    the device, or "A", the input side, where the loop leaks. Written
+    independently of the package internals: its own rotation matrices, its
+    own half-wave-voltage arithmetic, explicit per-component PBS leakage, and
+    explicit matrix products in traversal order."""
 
     def rot(a: float) -> np.ndarray:
         return np.array(
@@ -102,7 +103,7 @@ def oracle_device_matrix(layout: LoopLayout, voltage: float) -> np.ndarray:
         y = ccw @ reflect_arm
         port_b = np.array([cr * x[0] - sr * y[0], ct * y[1] - st * x[1]])
         port_a = np.array([sr * x[0] + cr * y[0], st * y[1] + ct * x[1]])
-        columns.append(port_b if layout.output_port == "B" else port_a)
+        columns.append(port_b if port == "B" else port_a)
     return np.column_stack(columns)
 
 

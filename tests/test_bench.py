@@ -192,21 +192,20 @@ class TestMzIntensity:
 
 class TestFringeLawProperties:
     """The bench's closed-form fringe law against the oracle fringe, over
-    generated imperfect layouts at both ports and imperfect interferometers."""
+    generated imperfect layouts and imperfect interferometers."""
 
     @settings(derandomize=True, deadline=None, max_examples=120)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        port=st.sampled_from(["B", "A"]),
         gamma=st.floats(0.0, 1.0),
         background=st.floats(0.0, 2.0),
         imbalance=st.floats(0.05, 20.0),
         v_max_halves=st.floats(-3.0, 3.0),
         n=st.integers(0, 24),
     )
-    def test_sweep_curve_matches_oracle(self, seed, port, gamma, background, imbalance, v_max_halves, n):
+    def test_sweep_curve_matches_oracle(self, seed, gamma, background, imbalance, v_max_halves, n):
         rng = np.random.default_rng(seed)
-        layout = replace(random_imperfect_layout(rng), output_port=port)
+        layout = random_imperfect_layout(rng)
         # A lossy reference arm that mixes H and V.
         ref_arm = rng.uniform(0.3, 1.0) * random_unitary(rng)
         setup = MzSetup(layout, ref_arm, gamma, background, imbalance)
@@ -220,7 +219,6 @@ class TestFringeLawProperties:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        port=st.sampled_from(["B", "A"]),
         gamma=st.floats(0.0, 1.0),
         background=st.floats(0.0, 2.0),
         imbalance=st.floats(0.05, 20.0),
@@ -229,7 +227,7 @@ class TestFringeLawProperties:
         angles=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
     )
     def test_table1_records_within_the_grid_bias(
-        self, seed, port, gamma, background, imbalance, v_max_halves, n, angles
+        self, seed, gamma, background, imbalance, v_max_halves, n, angles
     ):
         # With no residual phase on the modulator's other axis each fringe is
         # c0 + |c1| cos(pi V / V_half + arg c1). The grid holds a sample within
@@ -241,7 +239,7 @@ class TestFringeLawProperties:
             replace(e, residual_orthogonal_phase=0.0) if isinstance(e, Eom) else e
             for e in layout.cw_path
         )
-        layout = LoopLayout(layout.pbs, path, port)
+        layout = LoopLayout(layout.pbs, path)
         setup = MzSetup(layout, rng.uniform(0.3, 1.0) * random_unitary(rng), gamma, background, imbalance)
         v_half = half_wave_voltage(layout.crystal)
         v_max = v_max_halves * v_half

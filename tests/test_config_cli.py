@@ -125,7 +125,7 @@ class TestParseConfig:
             "[loop]\nrotated_beam = ccw\nfr_angle_deg = 40\nhwp_angle_deg = 20\n"
             "fr2_angle_deg = 44\nhwp2_angle_deg = 21\neom_axis = V\n"
             "eom_residual_phase_per_volt = 0.002\npbs_extinction_t = 0.1\n"
-            "pbs_extinction_r = 0.05\noutput_port = A\n"
+            "pbs_extinction_r = 0.05\n"
         )))
         crystal = cfg.crystal_spec()
         layout = cfg.loop_layout()
@@ -137,7 +137,6 @@ class TestParseConfig:
             HalfWavePlate(math.radians(21)),
         )
         assert layout.pbs == Pbs(extinction_t=0.1, extinction_r=0.05)
-        assert layout.output_port == "A"
 
     def test_malformed_number_names_line_and_key(self):
         with pytest.raises(ConfigError, match=r"line 2.*length_L"):
@@ -380,7 +379,13 @@ class TestCli:
         assert rates.min() == pytest.approx(100.0) and rates.max() < 5e3
 
     @pytest.mark.parametrize(
-        "line, key", [("output_port = C", "output_port"), ("eom_axis = X", "axis")]
+        "line, key",
+        [
+            ("rotated_beam = X", "rotated_beam"),
+            ("eom_axis = X", "axis"),
+            # The device is port B; the key that chose a port is gone.
+            ("output_port = B", "unknown key 'output_port' in [loop]"),
+        ],
     )
     def test_bad_loop_string_exit_2(self, tmp_path, capsys, line, key):
         bad = tmp_path / "bad.ini"
@@ -389,6 +394,7 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "[loop]" in err and key in err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("command", ["table1", "transient"])
     @pytest.mark.parametrize(

@@ -76,7 +76,7 @@ class TestBuildDefaultLoop:
             LoopLayout(pbs=Pbs(), cw_path=(eom, eom))
 
     def test_crystal_is_the_modulators(self, ideal):
-        assert [f.name for f in dataclasses.fields(ideal) if f.init] == ["pbs", "cw_path", "output_port"]
+        assert [f.name for f in dataclasses.fields(ideal) if f.init] == ["pbs", "cw_path"]
         assert ideal.crystal is ideal.eom.crystal
 
     def test_unknown_rotated_beam_rejected(self, crystal):
@@ -118,23 +118,29 @@ class TestCompiledLayout:
         twin = build_default_loop(crystal)
         assert twin == ideal and hash(twin) == hash(ideal)
         assert "_parts" not in repr(ideal)
-        port_a = dataclasses.replace(ideal, output_port="A")
-        assert port_a != ideal
-        assert np.array_equal(port_a._parts, ideal._parts)
+        same = dataclasses.replace(ideal, pbs=Pbs())
+        assert same == ideal and same._parts is not ideal._parts
+        assert np.array_equal(same._parts, ideal._parts)
         degraded = dataclasses.replace(ideal, pbs=Pbs(extinction_t=0.2))
+        assert degraded != ideal
         assert not np.array_equal(degraded._parts, ideal._parts)
 
     @pytest.mark.parametrize("port", ["B", "A"])
     def test_batch_equals_port_slice_of_trace_ports(self, v_half, port):
+        # Port B is the device: its batch is trace_ports' first state bit for
+        # bit. Port A has no batch; its state is the oracle's port A.
         rng = np.random.default_rng(107)
         index = "BA".index(port)
         for _ in range(10):
-            layout = dataclasses.replace(random_imperfect_layout(rng), output_port=port)
+            layout = random_imperfect_layout(rng)
             voltages = rng.uniform(-2 * v_half, 2 * v_half, size=9)
             batch = device_matrix_batch(layout, voltages)
             for v, m in zip(voltages, batch):
-                columns = [trace_ports(layout, basis, v)[index] for basis in (H, V)]
-                assert np.array_equal(m, np.column_stack(columns))
+                traced = np.column_stack([trace_ports(layout, basis, v)[index] for basis in (H, V)])
+                if port == "B":
+                    assert np.array_equal(m, traced)
+                else:
+                    np.testing.assert_allclose(traced, oracle_device_matrix(layout, v, "A"), atol=1e-12)
 
     @pytest.mark.parametrize("voltages", [[0.0], [0.0, 50.0]])
     def test_trace_ports_refuses_more_than_one_voltage(self, ideal, voltages):
@@ -211,10 +217,9 @@ class TestDeviceMatrix:
         for _ in range(10):
             layout = random_imperfect_layout(rng)
             voltages = rng.uniform(-2 * v_half, 2 * v_half, size=7)
-            for lay in (layout, dataclasses.replace(layout, output_port="A")):
-                batch = device_matrix_batch(lay, voltages)
-                for v, m in zip(voltages, batch):
-                    np.testing.assert_allclose(m, device_matrix(lay, v), atol=1e-13)
+            batch = device_matrix_batch(layout, voltages)
+            for v, m in zip(voltages, batch):
+                np.testing.assert_allclose(m, device_matrix(layout, v), atol=1e-13)
 
 
 class TestImperfections:
@@ -426,29 +431,29 @@ class TestOracleEquivalence:
         for _ in range(25):
             layout = random_imperfect_layout(rng)
             v = rng.uniform(-2 * v_half, 2 * v_half)
-            for lay in (layout, dataclasses.replace(layout, output_port="A")):
-                np.testing.assert_allclose(
-                    device_matrix(lay, v), oracle_device_matrix(lay, v), atol=1e-12
-                )
-                np.testing.assert_allclose(
-                    device_matrix_batch(lay, [v])[0], oracle_device_matrix(lay, v), atol=1e-12
-                )
+            oracle = oracle_device_matrix(layout, v)
+            np.testing.assert_allclose(device_matrix(layout, v), oracle, atol=1e-12)
+            np.testing.assert_allclose(device_matrix_batch(layout, [v])[0], oracle, atol=1e-12)
+            # Port A, the input side, is read only as leakage.
+            oracle_a = oracle_device_matrix(layout, v, "A")
+            port_a = np.column_stack([trace_ports(layout, basis, v)[1] for basis in (H, V)])
+            np.testing.assert_allclose(port_a, oracle_a, atol=1e-12)
+            assert independence_scan(layout, [v]).port_a_power[0] == pytest.approx(
+                0.5 * np.linalg.norm(oracle_a) ** 2, abs=1e-12
+            )
 
 
 class TestLoopProperties:
-    """Invariants of generated imperfect layouts at both output ports."""
+    """Invariants of generated imperfect layouts at both ports."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        port=st.sampled_from(["A", "B"]),
         fractions=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5),
     )
-    def test_compiled_form_matches_oracle(self, seed, port, fractions):
+    def test_compiled_form_matches_oracle(self, seed, fractions):
         v_half = half_wave_voltage(reference_crystal())
-        layout = dataclasses.replace(
-            random_imperfect_layout(np.random.default_rng(seed)), output_port=port
-        )
+        layout = random_imperfect_layout(np.random.default_rng(seed))
         voltages = np.array(fractions) * v_half
         batch = device_matrix_batch(layout, voltages)
         # One scan per voltage: the drawn lists may step by V_half or more,
@@ -457,42 +462,38 @@ class TestLoopProperties:
         transmission = math.prod(
             el.transmission for el in layout.cw_path if isinstance(el, LossElement)
         )
-        port_a_layout = dataclasses.replace(layout, output_port="A")
         for v, m, point in zip(voltages, batch, points):
             oracle = oracle_device_matrix(layout, v)
             np.testing.assert_allclose(m, device_matrix(layout, v), atol=1e-13)
             np.testing.assert_allclose(m, oracle, atol=1e-12)
             assert point.infidelity == pytest.approx(scaled_identity_infidelity(oracle), abs=1e-12)
-            oracle_a = oracle_device_matrix(port_a_layout, v)
+            oracle_a = oracle_device_matrix(layout, v, "A")
             assert point.port_a_power == pytest.approx(
                 0.5 * np.linalg.norm(oracle_a) ** 2, abs=1e-12
             )
             for basis in np.eye(2, dtype=complex):
                 port_b, port_a = trace_ports(layout, basis, v)
+                np.testing.assert_allclose(port_a, oracle_a @ basis, atol=1e-12)
                 total = np.sum(np.abs(port_b) ** 2) + np.sum(np.abs(port_a) ** 2)
                 assert total == pytest.approx(transmission, abs=1e-12)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        port=st.sampled_from(["A", "B"]),
         start=st.floats(-2.0, 2.0),
         steps=st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=11),
     )
-    def test_scan_rows_match_oracle_and_one_voltage_scans(self, seed, port, start, steps):
+    def test_scan_rows_match_oracle_and_one_voltage_scans(self, seed, start, steps):
         # A multi-voltage scan, each step below V_half. Every row equals the
         # oracle, and bit for bit the scan of its voltage alone: no row may
         # depend on its neighbours or on the block it falls in.
         v_half = half_wave_voltage(reference_crystal())
-        layout = dataclasses.replace(
-            random_imperfect_layout(np.random.default_rng(seed)), output_port=port
-        )
-        port_a_layout = dataclasses.replace(layout, output_port="A")
+        layout = random_imperfect_layout(np.random.default_rng(seed))
         voltages = (start + np.cumsum([0.0, *steps])) * v_half
         points = independence_scan(layout, voltages)
         for k, v in enumerate(voltages):
             oracle = oracle_device_matrix(layout, float(v))
-            oracle_a = oracle_device_matrix(port_a_layout, float(v))
+            oracle_a = oracle_device_matrix(layout, float(v), "A")
             assert points.infidelity[k] == pytest.approx(scaled_identity_infidelity(oracle), abs=1e-12)
             assert points.port_a_power[k] == pytest.approx(0.5 * np.linalg.norm(oracle_a) ** 2, abs=1e-12)
             alone = independence_scan(layout, [v])
