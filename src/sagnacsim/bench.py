@@ -71,14 +71,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MzSetup:
     """Interferometer around a loop layout.
 
     ref_arm: 2x2 transform of the reference arm (identity by default);
     mode_overlap: wavefront-match factor gamma in [0, 1]; background: power
     offset added to every reading; arm_imbalance: reference-to-device arm
-    power ratio.
+    power ratio. A setup holds an array, so equality and hashing go by
+    identity.
     """
 
     loop: LoopLayout

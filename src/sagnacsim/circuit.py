@@ -184,14 +184,15 @@ def _finite_range(block: np.ndarray, previous: tuple | None = None) -> tuple:
     return (lo, hi) if previous is None else (min(previous[0], lo), max(previous[1], hi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waveform:
     """Uniformly sampled trace (voltage or intensity) starting at t = 0.
 
     The samples must be a finite 1-D array. Their range (min, max) is taken
     once, when the waveform is built; an empty waveform has the range (0, 0).
     ``samples`` is a read-only copy of the array passed in, so no write to
-    that array, or through ``samples``, can leave the range stale."""
+    that array, or through ``samples``, can leave the range stale. Equality
+    and hashing go by identity, as for any object holding an array."""
 
     dt: float
     samples: np.ndarray

@@ -15,6 +15,7 @@ from sagnacsim import (
     GateSchedule,
     MeasurementRecord,
     MzSetup,
+    SwitchingTrace,
     Waveform,
     build_default_loop,
     contrast_from_visibility,
@@ -94,6 +95,17 @@ class TestMzSetup:
     def test_ref_arm_must_be_finite(self, crystal, bad):
         with pytest.raises(ValueError, match="ref_arm must be finite"):
             MzSetup(loop=build_default_loop(crystal), ref_arm=np.full((2, 2), bad))
+
+    def test_setups_and_waveforms_compare_by_identity(self, ideal_setup):
+        # Each holds an array, whose == is elementwise: compared field by
+        # field, two equal setups or waveforms raised "truth value of an
+        # array is ambiguous", and hash() raised too.
+        wave = Waveform(1e-12, [0.0, 1.0])
+        for item, twin in ((ideal_setup, replace(ideal_setup)), (wave, Waveform(1e-12, [0.0, 1.0]))):
+            assert item == item and item != twin
+            assert len({item, item, twin}) == 2
+        trace = SwitchingTrace(wave, wave, 1e-9)
+        assert trace == replace(trace) and hash(trace) == hash(replace(trace))
 
 
 class TestMeasurementRecord:
