@@ -229,9 +229,10 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
     no longer tell its direction.
 
     The phase factors are evaluated once. Port B's figures come from its
-    stack of device matrices, the one ``device_matrix`` returns, with each entry's squared modulus taken once for both the pivot
-    and the Frobenius norm. Port A's power needs no stack: with the port-A
-    parts A_H, A_V, |f_H| = |f_V| = 1 and <X, Y> = sum conj(X) Y it is
+    stack of device matrices, the one ``device_matrix`` returns, with each
+    entry's squared modulus taken once for both the pivot and the Frobenius
+    norm. Port A's power needs no stack: with the port-A parts A_H, A_V,
+    |f_H| = |f_V| = 1 and <X, Y> = sum conj(X) Y it is
 
       0.5 ||M_A||_F^2 = 0.5 (||A_H||^2 + ||A_V||^2) + Re(conj(f_H) f_V <A_H, A_V>),
 
@@ -255,7 +256,7 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
     squared = _squared_moduli(matrices)
     phases = np.unwrap(_canonical_phases(matrices, squared)[0])
     infidelities = _scaled_identity_infidelities(matrices, squared)
-    part_h, part_v = layout._parts[:, 1].reshape(2, 4)
+    part_h, part_v = layout._parts[:, 1].reshape(2, 4)  # port A's
     cross = complex(np.vdot(part_h, part_v))  # <A_H, A_V>
     g_re, g_im = _relative_factor(*factors)
     leaks = cross.real * g_re

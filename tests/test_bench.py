@@ -97,9 +97,8 @@ class TestMzSetup:
             MzSetup(loop=build_default_loop(crystal), ref_arm=np.full((2, 2), bad))
 
     def test_setups_and_waveforms_compare_by_identity(self, ideal_setup):
-        # Each holds an array, whose == is elementwise: compared field by
-        # field, two equal setups or waveforms raised "truth value of an
-        # array is ambiguous", and hash() raised too.
+        # Each holds an array, whose == is elementwise and cannot decide a
+        # field-by-field comparison, so equality and hashing go by identity.
         wave = Waveform(1e-12, [0.0, 1.0])
         for item, twin in ((ideal_setup, replace(ideal_setup)), (wave, Waveform(1e-12, [0.0, 1.0]))):
             assert item == item and item != twin
