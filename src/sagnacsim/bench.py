@@ -281,12 +281,12 @@ def contrast_from_visibility(visibility: float) -> tuple[float, float]:
 
 def insertion_loss(transmissions: Sequence[float]) -> float:
     """Total insertion loss in dB of a chain of power transmissions."""
-    total = 1.0
     for t in transmissions:
         if not 0.0 < t <= 1.0:
             raise ValueError(f"transmissions must lie in (0, 1], got {t}")
-        total *= t
-    return 0.0 - 10.0 * math.log10(total)  # +0 dB, not -0, for a lossless chain
+    # Summed per element in dB: a product of transmissions can underflow to
+    # 0 where the loss is finite. 0.0 - keeps a lossless chain at +0 dB.
+    return 0.0 - 10.0 * math.fsum(math.log10(t) for t in transmissions)
 
 
 @dataclass(frozen=True)

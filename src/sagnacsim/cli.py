@@ -122,7 +122,13 @@ def _run_recovery(cfg: SceneConfig) -> _Report:
     # refuses a period that does not exceed the hold: the table leaves those
     # rates out, and only the configured rate must fit, so the lower half of
     # the table fits too.
-    rates = np.geomspace(rec.repetition_rate / 10, rec.repetition_rate * 10, 61)
+    low, high = rec.repetition_rate / 10, rec.repetition_rate * 10
+    if not (low > 0.0 and math.isfinite(high)):
+        raise ValueError(
+            f"repetition_rate = {rec.repetition_rate:g} Hz: the table's decade bounds"
+            f" {low:g} and {high:g} Hz must be finite and positive"
+        )
+    rates = np.geomspace(low, high, 61)
     rows = [[rate, recovery_fraction(circuit, rate, rec.hold)] for rate in rates if 1.0 / rate > rec.hold]
     fraction = recovery_fraction(circuit, rec.repetition_rate, rec.hold)
     return ["repetition_rate_hz", "recovery_fraction"], rows, f"recovery_fraction={fraction:.5f}"

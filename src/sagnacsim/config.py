@@ -70,10 +70,7 @@ class CrystalConfig:
 class LoopConfig:
     fr_angle_deg: float = 45.0
     hwp_angle_deg: float = 22.5
-    fr2_angle_deg: Optional[float] = None
-    hwp2_angle_deg: Optional[float] = None
     rotated_beam: str = "cw"
-    eom_axis: Optional[str] = None
     eom_residual_phase_per_volt: float = 0.0
     pbs_extinction_t: float = 0.0
     pbs_extinction_r: float = 0.0
@@ -167,9 +164,6 @@ class SceneConfig:
                 pbs=Pbs(extinction_t=lp.pbs_extinction_t, extinction_r=lp.pbs_extinction_r),
                 rotated_beam=lp.rotated_beam,
                 eom_residual_phase=lp.eom_residual_phase_per_volt,
-                fr2_angle=None if lp.fr2_angle_deg is None else math.radians(lp.fr2_angle_deg),
-                hwp2_angle=None if lp.hwp2_angle_deg is None else math.radians(lp.hwp2_angle_deg),
-                eom_axis=lp.eom_axis,
             )
         except ValueError as exc:
             raise ConfigError(f"[loop]: {exc}") from None

@@ -116,9 +116,6 @@ def build_default_loop(
     pbs: Pbs | None = None,
     rotated_beam: str = "cw",
     eom_residual_phase: float = 0.0,
-    fr2_angle: float | None = None,
-    hwp2_angle: float | None = None,
-    eom_axis: str | None = None,
 ) -> LoopLayout:
     """Five-element loop with the modulator at the center (index 2).
 
@@ -128,21 +125,18 @@ def build_default_loop(
     "ccw" mirrors the pairs and drives H. The defaults fr_angle = 45 deg and
     hwp_angle = 22.5 deg realize the full rotation; other angle pairs are
     accepted and simply degrade the device, which is useful in negative
-    tests. ``fr2_angle`` / ``hwp2_angle`` set the pair after the modulator
-    (default: the same angles as the first pair), and ``eom_axis`` overrides
-    the driven axis that ``rotated_beam`` implies.
+    tests. The same plate/rotator pair sits on both sides of the modulator;
+    a layout with unequal pairs or another driven axis is a ``LoopLayout``
+    built from its path.
     """
     if rotated_beam not in ("cw", "ccw"):
         raise ValueError(f"rotated_beam must be 'cw' or 'ccw', got {rotated_beam!r}")
-    if eom_axis is None:
-        eom_axis = "V" if rotated_beam == "cw" else "H"
-    eom = Eom(crystal, axis=eom_axis, residual_orthogonal_phase=eom_residual_phase)
-    first = (HalfWavePlate(hwp_angle), FaradayRotator(fr_angle))
-    second = (HalfWavePlate(hwp_angle if hwp2_angle is None else hwp2_angle),
-              FaradayRotator(fr_angle if fr2_angle is None else fr2_angle))
+    eom = Eom(crystal, axis="V" if rotated_beam == "cw" else "H",
+              residual_orthogonal_phase=eom_residual_phase)
+    pair = (HalfWavePlate(hwp_angle), FaradayRotator(fr_angle))
     if rotated_beam == "ccw":  # rotator ahead of the plate on both sides
-        first, second = first[::-1], second[::-1]
-    return LoopLayout(pbs or Pbs(), (*first, eom, *second))
+        pair = pair[::-1]
+    return LoopLayout(pbs or Pbs(), (*pair, eom, *pair))
 
 
 def _compile(layout: LoopLayout) -> np.ndarray:

@@ -476,9 +476,11 @@ class TestInsertionLoss:
         assert insertion_loss([0.977, 0.977]) == pytest.approx(0.202, abs=1e-3)
 
     def test_additive_in_db(self):
-        assert insertion_loss([0.9, 0.8]) == pytest.approx(
-            insertion_loss([0.9]) + insertion_loss([0.8]), rel=1e-12
-        )
+        # The product of the second pair underflows to 0; its loss is 4000 dB.
+        for a, b in [(0.9, 0.8), (1e-200, 1e-200)]:
+            assert insertion_loss([a, b]) == pytest.approx(
+                insertion_loss([a]) + insertion_loss([b]), rel=1e-12
+            )
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -124,7 +124,6 @@ class TestParseConfig:
     def test_loop_section_maps_every_key(self):
         cfg = parse_config(IDEAL_TEXT.replace("[loop]\n", (
             "[loop]\nrotated_beam = ccw\nfr_angle_deg = 40\nhwp_angle_deg = 20\n"
-            "fr2_angle_deg = 44\nhwp2_angle_deg = 21\neom_axis = V\n"
             "eom_residual_phase_per_volt = 0.002\npbs_extinction_t = 0.1\n"
             "pbs_extinction_r = 0.05\n"
         )))
@@ -133,9 +132,9 @@ class TestParseConfig:
         assert layout.cw_path == (
             FaradayRotator(math.radians(40)),
             HalfWavePlate(math.radians(20)),
-            Eom(crystal, axis="V", residual_orthogonal_phase=0.002),
-            FaradayRotator(math.radians(44)),
-            HalfWavePlate(math.radians(21)),
+            Eom(crystal, axis="H", residual_orthogonal_phase=0.002),
+            FaradayRotator(math.radians(40)),
+            HalfWavePlate(math.radians(20)),
         )
         assert layout.pbs == Pbs(extinction_t=0.1, extinction_r=0.05)
 
@@ -385,9 +384,13 @@ class TestCli:
         "line, key",
         [
             ("rotated_beam = X", "rotated_beam"),
-            ("eom_axis = X", "axis"),
             # The device is port B; the key that chose a port is gone.
             ("output_port = B", "unknown key 'output_port' in [loop]"),
+            # Both sides share one plate/rotator pair and rotated_beam picks
+            # the driven axis; the keys that overrode them are gone.
+            ("fr2_angle_deg = 44", "unknown key 'fr2_angle_deg' in [loop]"),
+            ("hwp2_angle_deg = 21", "unknown key 'hwp2_angle_deg' in [loop]"),
+            ("eom_axis = V", "unknown key 'eom_axis' in [loop]"),
         ],
     )
     def test_bad_loop_string_exit_2(self, tmp_path, capsys, line, key):
@@ -441,12 +444,17 @@ class TestCli:
             ("R = 20k\nC = 50p\nmosfet_on_R = 23.5\ngate_rise_time = 400p",
              "R = 1e302\nC = 1e10\nmosfet_on_R = 1e290\ngate_rise_time = 1e-290",
              "time constants recharge_r * total_c", "recovery"),
+            # The table's upper decade bound 1e309 Hz overflows: without the
+            # check, its NaN rates fit no hold and the table keeps one row.
+            ("repetition_rate = 100k", "repetition_rate = 1e308",
+             "repetition_rate = 1e+308 Hz", "recovery"),
         ],
         ids=[
             "gate_on = 2n-gate_on = -1-on_times must be non-negative",
             "gate_rise_time = 400p-gate_rise_time = 1e-300-gate_rise_time = 1e-300 s is too short",
             "wavelength = 632.8n-wavelength = 1e300-on-state voltage",
             "recovery-time constants overflow",
+            "recovery-repetition_rate overflow",
         ],
     )
     def test_bad_driver_value_exit_3_without_warnings(
