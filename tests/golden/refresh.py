@@ -12,11 +12,13 @@ sits a fingerprint (row count, header, and each column's min, max and sum as
 ``repr`` floats), so a broken hash names the column that moved. The library
 slice holds the compiled parts of a fixed set of layouts as one SHA-256,
 their ``device_matrix`` stacks and ``independence_scan`` records as two more,
-and the ``table1_report``, ``sweep_curve``, ``switching_trace`` and
-``fit_mosfet_on_r`` results on both configs, the ``sweep_curve`` fringes of
-a few seeded imperfect interferometers and the ``simulate`` samples of a few
-seeded driver transients, as ``repr`` floats or as an array's SHA-256 next
-to its min, max and sum. The stamp records where the manifest was
+the ``global_phase_decompose`` and ``scaled_identity_infidelity`` results
+of a seeded corpus of transforms as two more, and the ``table1_report``,
+``sweep_curve``, ``switching_trace`` and ``fit_mosfet_on_r`` results on both
+configs, the ``sweep_curve`` fringes of a few seeded imperfect
+interferometers and the ``simulate`` samples of a few seeded driver
+transients, as ``repr`` floats or as an array's SHA-256 next to its min, max
+and sum. The stamp records where the manifest was
 written; rounding can differ elsewhere.
 Rewriting the manifest changes what tier-1 checks: name each changed entry
 and its reason in CHANGES.md.
@@ -24,6 +26,7 @@ and its reason in CHANGES.md.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import hashlib
 import io
@@ -53,10 +56,13 @@ from sagnacsim import (
     build_default_loop,
     device_matrix,
     fit_mosfet_on_r,
+    global_phase_decompose,
     half_wave_voltage,
     independence_scan,
     linear_state,
     parse_config,
+    rotation,
+    scaled_identity_infidelity,
     simulate,
     sweep_curve,
     switching_trace,
@@ -245,6 +251,49 @@ def _evaluator_entry(layouts: list, voltages: np.ndarray) -> dict:
     return {"layouts": lit, "device_matrix": matrices.hexdigest(), "independence_scan": scans.hexdigest()}
 
 
+def _haar_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` Haar-random 2x2 unitaries e^{i alpha} [[a, -b*], [b, a*]], with
+    (a, b) uniform on the unit sphere of C^2, built without LAPACK."""
+    z = rng.normal(size=(n, 4))
+    z /= np.sqrt(np.square(z).sum(axis=1))[:, None]
+    a, b = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+    u = np.stack([a, -b.conj(), b, a.conj()], axis=1).reshape(n, 2, 2)
+    return u * np.exp(1j * rng.uniform(-math.pi, math.pi, n))[:, None, None]
+
+
+def _polarization_matrices(rng: np.random.Generator) -> list:
+    """A seeded corpus of 1 978 nonzero 2x2 transforms: rotations, diagonal
+    phases and anti-diagonals at multiples of pi / 8, whose entries tie in
+    modulus exactly or within an ulp; Haar unitaries at eleven scales from
+    1e-300 to 1.7e308; Haar unitaries at two subnormal scales; and complex
+    Gaussian matrices."""
+    eighths = [cmath.exp(1j * k * math.pi / 8) for k in range(16)]
+    matrices = [rotation(k * math.pi / 8) for k in range(16)]
+    matrices += [np.diag([a, b]) for a in eighths for b in eighths]
+    matrices += [np.array([[0.0, a], [b, 0.0]]) for a in eighths for b in eighths]
+    for scale in (1e-300, 1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200, 1e300, 1e308, 1.7e308):
+        matrices += list(_haar_unitaries(rng, 50) * scale)
+    for scale in (5e-314, 1e-318):
+        matrices += list(_haar_unitaries(rng, 200) * scale)
+    matrices += list(rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2)))
+    return matrices
+
+
+def _polarization_entry(matrices: list) -> dict:
+    """One SHA-256 over the ``global_phase_decompose`` phases and residuals
+    of ``matrices`` and one over their ``scaled_identity_infidelity``."""
+    decompositions = hashlib.sha256()
+    for m in matrices:
+        phase, residual = global_phase_decompose(m)
+        decompositions.update(np.float64(phase).tobytes() + residual.tobytes())
+    infidelities = np.array([scaled_identity_infidelity(m) for m in matrices])
+    return {
+        "matrices": len(matrices),
+        "global_phase_decompose": decompositions.hexdigest(),
+        "scaled_identity_infidelity": _sha(infidelities.tobytes()),
+    }
+
+
 def library_entries() -> dict:
     """Entries of the library's compiled parts and bench results."""
     scenes = {name: parse_config((ROOT / "demos" / "configs" / name).read_text(encoding="utf-8"))
@@ -266,6 +315,7 @@ def library_entries() -> dict:
         for k, setup in enumerate(_imperfect_setups(np.random.default_rng(28), crystal))
         for angle in (0, 45)
     }
+    entries["polarization"] = _polarization_entry(_polarization_matrices(np.random.default_rng(30)))
     entries["simulate"] = {
         name: _array_entry(simulate(circuit, gates, t_end, dt, v_start=v_start).samples)
         for name, (circuit, gates, t_end, dt, v_start) in _transients(np.random.default_rng(26)).items()
