@@ -121,6 +121,8 @@ class MeasurementRecord:
             raise ValueError(
                 f"need i_on >= i_off >= 0 and a finite i_on > 0, got {self.i_on}, {self.i_off}"
             )
+        if not 0.0 < self.v_half_fit < math.inf:
+            raise ValueError(f"need a finite v_half_fit > 0, got {self.v_half_fit}")
 
     @property
     def visibility(self) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bench import MzSetup
 from .circuit import DriveCircuit
-from .elements import CrystalSpec, Pbs, half_wave_voltage
+from .elements import CrystalSpec, half_wave_voltage
 from .loop import LoopLayout, build_default_loop
 
 __all__ = [
@@ -70,10 +70,6 @@ class CrystalConfig:
 class LoopConfig:
     fr_angle_deg: float = 45.0
     hwp_angle_deg: float = 22.5
-    rotated_beam: str = "cw"
-    eom_residual_phase_per_volt: float = 0.0
-    pbs_extinction_t: float = 0.0
-    pbs_extinction_r: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -154,19 +150,14 @@ class SceneConfig:
         )
 
     def loop_layout(self) -> LoopLayout:
-        crystal = self.crystal_spec()
-        lp = self.loop
-        try:
-            return build_default_loop(
-                crystal,
-                fr_angle=math.radians(lp.fr_angle_deg),
-                hwp_angle=math.radians(lp.hwp_angle_deg),
-                pbs=Pbs(extinction_t=lp.pbs_extinction_t, extinction_r=lp.pbs_extinction_r),
-                rotated_beam=lp.rotated_beam,
-                eom_residual_phase=lp.eom_residual_phase_per_volt,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[loop]: {exc}") from None
+        """The paper's loop at the configured pair angles. Splitter
+        extinction, a residual modulator phase and the ``ccw`` orientation
+        are ``build_default_loop`` arguments of the library, not keys."""
+        return build_default_loop(
+            self.crystal_spec(),
+            fr_angle=math.radians(self.loop.fr_angle_deg),
+            hwp_angle=math.radians(self.loop.hwp_angle_deg),
+        )
 
     def mz_setup(self) -> MzSetup:
         loop = self.loop_layout()
@@ -206,7 +197,7 @@ def _kind(hint):
 
 # The dataclasses are the one declaration of the format: SceneConfig's fields
 # name the sections, and each section's fields name its keys and their kinds
-# (str, tuple of numbers, int or float).
+# (tuple of numbers, int or float).
 _SECTIONS = {name: _kind(hint) for name, hint in get_type_hints(SceneConfig).items()}
 _KEY_KINDS = {
     name: {key: _kind(hint) for key, hint in get_type_hints(cls).items()}
@@ -217,8 +208,6 @@ _KEY_KINDS = {
 def _convert(section: str, key: str, raw: str, lineno: int):
     kind = _KEY_KINDS[section][key]
     try:
-        if kind is str:
-            return raw.strip()
         if kind is tuple:
             items = [part for part in raw.split(",") if part.strip()]
             if not items:
@@ -291,9 +280,7 @@ def parse_config(text: str) -> SceneConfig:
 def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(repr(float(v)) for v in value)
-    if isinstance(value, (int, float)):
-        return repr(float(value))
-    return str(value)
+    return repr(float(value))
 
 
 def render_config(config: SceneConfig) -> str:

@@ -127,7 +127,9 @@ def build_default_loop(
     accepted and simply degrade the device, which is useful in negative
     tests. The same plate/rotator pair sits on both sides of the modulator;
     a layout with unequal pairs or another driven axis is a ``LoopLayout``
-    built from its path.
+    built from its path. A scene's ``[loop]`` section sets only the two
+    angles: the splitter's extinction, the residual modulator phase and the
+    ``ccw`` orientation are arguments of this function alone.
     """
     if rotated_beam not in ("cw", "ccw"):
         raise ValueError(f"rotated_beam must be 'cw' or 'ccw', got {rotated_beam!r}")

@@ -22,7 +22,6 @@ from sagnacsim import (
     build_default_loop,
     contrast_from_visibility,
     device_matrix,
-    device_matrix_batch,
     element_matrix,
     fit_mosfet_on_r,
     fit_reference_imperfections,
@@ -271,7 +270,7 @@ def test_criterion_7_property_suites():
     layout = build_default_loop(CRYSTAL)
     voltages = np.linspace(0.0, 2.0 * V_HALF, 4097)
     s45 = linear_state(math.pi / 4)
-    matrices = device_matrix_batch(layout, voltages)
+    matrices = device_matrix(layout, voltages)
     dev_states = np.einsum("vij,j->vi", matrices, s45)
     for _ in range(n):
         gamma = rng.uniform(0.05, 1.0)

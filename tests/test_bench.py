@@ -121,19 +121,24 @@ class TestMeasurementRecord:
         assert rec.contrast_ratio == math.inf and rec.contrast_db == math.inf
 
     @pytest.mark.parametrize(
-        "i_on, i_off, message",
+        "i_on, i_off, v_half_fit, message",
         [
-            (0.1, 0.9, "need i_on >= i_off"),
-            (0.5, -0.1, "need i_on >= i_off"),
-            (0.0, 0.0, "need i_on >= i_off"),  # visibility 0 / 0
-            (math.nan, 0.1, "need i_on >= i_off"),
-            (2e-12, -1e-12, "need i_on >= i_off"),  # i_off below the clamped background
-            (math.inf, 0.0, "need i_on >= i_off"),  # visibility inf / inf
-        ],
+            # An extrema case's id leaves out its valid fit of 96 V.
+            pytest.param(i_on, i_off, 96.0, "need i_on >= i_off", id=f"{i_on}-{i_off}-need i_on >= i_off")
+            for i_on, i_off in [
+                (0.1, 0.9),
+                (0.5, -0.1),
+                (0.0, 0.0),  # visibility 0 / 0
+                (math.nan, 0.1),
+                (2e-12, -1e-12),  # i_off below the clamped background
+                (math.inf, 0.0),  # visibility inf / inf
+            ]
+        ]
+        + [(0.9, 0.1, fit, "need a finite v_half_fit > 0") for fit in (math.nan, math.inf, 0.0, -3.0)],
     )
-    def test_invalid_extrema_rejected(self, i_on, i_off, message):
+    def test_invalid_extrema_rejected(self, i_on, i_off, v_half_fit, message):
         with pytest.raises(ValueError, match=message):
-            MeasurementRecord(i_on, i_off, 96.0)
+            MeasurementRecord(i_on, i_off, v_half_fit)
 
 
 def reading(setup, state, voltage):

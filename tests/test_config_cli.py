@@ -112,7 +112,7 @@ class TestParseConfig:
         assert cfg.crystal.length_L == pytest.approx(0.02)
         assert cfg.loop.fr_angle_deg == 45.0
         assert cfg.loop.hwp_angle_deg == 22.5
-        assert cfg.loop.pbs_extinction_t == 0.0
+        assert cfg.loop_layout().pbs == Pbs()
         assert cfg.mz.mode_overlap == 1.0
         assert cfg.circuit.C == pytest.approx(50e-12)
         assert cfg.circuit.supply_voltage is None
@@ -122,21 +122,17 @@ class TestParseConfig:
         assert circuit.supply_voltage == pytest.approx(half_wave_voltage(cfg.crystal_spec()))
 
     def test_loop_section_maps_every_key(self):
-        cfg = parse_config(IDEAL_TEXT.replace("[loop]\n", (
-            "[loop]\nrotated_beam = ccw\nfr_angle_deg = 40\nhwp_angle_deg = 20\n"
-            "eom_residual_phase_per_volt = 0.002\npbs_extinction_t = 0.1\n"
-            "pbs_extinction_r = 0.05\n"
-        )))
+        cfg = parse_config(IDEAL_TEXT.replace("[loop]\n", "[loop]\nfr_angle_deg = 40\nhwp_angle_deg = 20\n"))
         crystal = cfg.crystal_spec()
         layout = cfg.loop_layout()
         assert layout.cw_path == (
-            FaradayRotator(math.radians(40)),
             HalfWavePlate(math.radians(20)),
-            Eom(crystal, axis="H", residual_orthogonal_phase=0.002),
             FaradayRotator(math.radians(40)),
+            Eom(crystal, axis="V"),
             HalfWavePlate(math.radians(20)),
+            FaradayRotator(math.radians(40)),
         )
-        assert layout.pbs == Pbs(extinction_t=0.1, extinction_r=0.05)
+        assert layout.pbs == Pbs()
 
     def test_malformed_number_names_line_and_key(self):
         with pytest.raises(ConfigError, match=r"line 2.*length_L"):
@@ -383,14 +379,21 @@ class TestCli:
     @pytest.mark.parametrize(
         "line, key",
         [
-            ("rotated_beam = X", "rotated_beam"),
             # The device is port B; the key that chose a port is gone.
             ("output_port = B", "unknown key 'output_port' in [loop]"),
-            # Both sides share one plate/rotator pair and rotated_beam picks
-            # the driven axis; the keys that overrode them are gone.
+            # Both sides share one plate/rotator pair; the keys that
+            # overrode them are gone.
             ("fr2_angle_deg = 44", "unknown key 'fr2_angle_deg' in [loop]"),
             ("hwp2_angle_deg = 21", "unknown key 'hwp2_angle_deg' in [loop]"),
             ("eom_axis = V", "unknown key 'eom_axis' in [loop]"),
+            # [loop] holds the two pair angles; the orientation, the
+            # residual modulator phase and the splitter's extinction are
+            # arguments of build_default_loop alone.
+            ("rotated_beam = X", "unknown key 'rotated_beam' in [loop]"),
+            ("eom_residual_phase_per_volt = 0.002",
+             "unknown key 'eom_residual_phase_per_volt' in [loop]"),
+            ("pbs_extinction_t = 0.1", "unknown key 'pbs_extinction_t' in [loop]"),
+            ("pbs_extinction_r = 0.05", "unknown key 'pbs_extinction_r' in [loop]"),
         ],
     )
     def test_bad_loop_string_exit_2(self, tmp_path, capsys, line, key):
@@ -414,7 +417,7 @@ class TestCli:
     )
     def test_bad_mz_value_exit_2(self, tmp_path, capsys, command, line, message):
         # A value outside its key's range is a configuration error, and the
-        # message names its section, as for [loop].
+        # message names its section.
         bad = tmp_path / "bad.ini"
         bad.write_text(IDEAL_TEXT.replace("[mz]\n", f"[mz]\n{line}\n"))
         out = tmp_path / "o.csv"

@@ -21,7 +21,6 @@ from sagnacsim import (
     Pbs,
     build_default_loop,
     device_matrix,
-    device_matrix_batch,
     half_wave_voltage,
     independence_scan,
     linear_state,
@@ -108,7 +107,7 @@ class TestCompiledLayout:
             counted.reset_mock()
             voltages = np.linspace(0.0, 2 * v_half, 11)
             for _ in range(3):
-                device_matrix_batch(layout, voltages)
+                device_matrix(layout, voltages)
                 device_matrix(layout, v_half)
                 trace_ports(layout, H, v_half)
                 independence_scan(layout, voltages)
@@ -134,7 +133,7 @@ class TestCompiledLayout:
         for _ in range(10):
             layout = random_imperfect_layout(rng)
             voltages = rng.uniform(-2 * v_half, 2 * v_half, size=9)
-            batch = device_matrix_batch(layout, voltages)
+            batch = device_matrix(layout, voltages)
             for v, m in zip(voltages, batch):
                 traced = np.column_stack([trace_ports(layout, basis, v)[index] for basis in (H, V)])
                 if port == "B":
@@ -217,7 +216,7 @@ class TestDeviceMatrix:
         for _ in range(10):
             layout = random_imperfect_layout(rng)
             voltages = rng.uniform(-2 * v_half, 2 * v_half, size=7)
-            batch = device_matrix_batch(layout, voltages)
+            batch = device_matrix(layout, voltages)
             for v, m in zip(voltages, batch):
                 np.testing.assert_allclose(m, device_matrix(layout, v), atol=1e-13)
 
@@ -373,7 +372,7 @@ class TestNonFiniteVoltage:
         [
             lambda layout, v: trace_ports(layout, linear_state(0.3), v),
             device_matrix,
-            lambda layout, v: device_matrix_batch(layout, [0.0, v, 1.0]),
+            lambda layout, v: device_matrix(layout, [0.0, v, 1.0]),
             # without the check, every unwrapped phase after a NaN row is NaN too
             lambda layout, v: independence_scan(layout, [0.0, v, 1.0]),
         ],
@@ -391,7 +390,7 @@ class TestNonFiniteVoltage:
             call(ideal, [bad, 0.0], 0.0)
 
     @pytest.mark.parametrize(
-        "call", [device_matrix_batch, independence_scan], ids=["device_matrix_batch", "independence_scan"]
+        "call", [device_matrix, independence_scan], ids=["device_matrix_batch", "independence_scan"]
     )
     def test_finite_voltage_whose_phase_overflows(self, call):
         # pi * 1e308 / V_half overflows; it must raise, not warn and return NaN.
@@ -433,7 +432,7 @@ class TestOracleEquivalence:
             v = rng.uniform(-2 * v_half, 2 * v_half)
             oracle = oracle_device_matrix(layout, v)
             np.testing.assert_allclose(device_matrix(layout, v), oracle, atol=1e-12)
-            np.testing.assert_allclose(device_matrix_batch(layout, [v])[0], oracle, atol=1e-12)
+            np.testing.assert_allclose(device_matrix(layout, [v])[0], oracle, atol=1e-12)
             # Port A, the input side, is read only as leakage.
             oracle_a = oracle_device_matrix(layout, v, "A")
             port_a = np.column_stack([trace_ports(layout, basis, v)[1] for basis in (H, V)])
@@ -455,7 +454,7 @@ class TestLoopProperties:
         v_half = half_wave_voltage(reference_crystal())
         layout = random_imperfect_layout(np.random.default_rng(seed))
         voltages = np.array(fractions) * v_half
-        batch = device_matrix_batch(layout, voltages)
+        batch = device_matrix(layout, voltages)
         # One scan per voltage: the drawn lists may step by V_half or more,
         # which a single scan rejects as aliasing.
         points = [independence_scan(layout, [v])[0] for v in voltages]
