@@ -5,7 +5,9 @@
 Commands: device-matrix, independence-scan, table1, transient, recovery,
 loss. Each computes a table, then writes it as a CSV report and prints a
 one-line summary; a command that fails writes no CSV. Exit codes: 0 ok,
-1 usage, 2 configuration error, 3 runtime/domain error. Output is
+1 usage, 2 configuration error (a value refused while the scene builds its
+objects, named by its section), 3 runtime/domain error (a refusal that needs
+the run: sweep ceiling, time step, hold or repetition period). Output is
 byte-identical across runs for identical inputs (fixed 12-significant-digit
 float formatting, '\\n' line endings).
 """
@@ -22,11 +24,10 @@ import numpy as np
 
 from . import bench as _bench
 from .bench import insertion_loss, switching_trace, table1_report
-from .circuit import GateSchedule, recovery_fraction
+from .circuit import recovery_fraction
 from .config import ConfigError, SceneConfig, parse_config, parse_number
 from .elements import half_wave_voltage
 from .loop import LoopLayout, device_matrix, independence_scan
-from .polarization import linear_state
 
 def _number(text: str) -> float:
     """A flag's number, in the config file's grammar (SI suffixes allowed)."""
@@ -104,12 +105,9 @@ def _run_table1(cfg: SceneConfig) -> _Report:
 
 
 def _run_transient(cfg: SceneConfig) -> _Report:
-    setup = cfg.mz_setup()
-    circuit = cfg.drive_circuit()
-    trace = cfg.trace
-    gates = GateSchedule((trace.gate_on,), trace.hold)
-    state = linear_state(math.radians(trace.input_angle_deg))
-    result = switching_trace(setup, state, circuit, gates, trace.t_end, trace.dt)
+    setup, circuit = cfg.mz_setup(), cfg.drive_circuit()
+    gates, state = cfg.gate_schedule(), cfg.input_state()
+    result = switching_trace(setup, state, circuit, gates, cfg.trace.t_end, cfg.trace.dt)
     times = result.voltage.times
     rows = np.column_stack([times, result.voltage.samples, result.intensity.samples]).tolist()
     return ["t_s", "v_V", "intensity"], rows, f"transient: optical_10_90={_fmt(result.optical_10_90)} s"
@@ -135,9 +133,7 @@ def _run_recovery(cfg: SceneConfig) -> _Report:
 
 
 def _run_loss(cfg: SceneConfig) -> _Report:
-    if cfg.loss is None:
-        raise ConfigError("missing required section [loss]")
-    transmissions = cfg.loss.transmissions
+    transmissions = [element.transmission for element in cfg.loss_chain()]
     rows = [
         [float(i), t, insertion_loss(transmissions[: i + 1])]
         for i, t in enumerate(transmissions)

@@ -1,14 +1,16 @@
 """Line-oriented scene configuration: INI-style sections, ``key = value``
 lines, ``#`` comments, and SI-suffixed numbers (p, n, u, m, k, M).
 
-``parse_config`` is strict: unknown sections or keys, malformed numbers, and
-violated invariants fail with a diagnostic naming the line and key.
-``render_config`` writes a canonical text that parses back to an equal
-configuration.
+``parse_config`` is strict: unknown sections or keys and malformed numbers
+fail with a diagnostic naming the line and key. A value outside its range
+fails later, naming its section, when a ``SceneConfig`` method builds that
+section's library object. ``render_config`` writes a canonical text that
+parses back to an equal configuration.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, get_args, get_type_hints
@@ -16,9 +18,10 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .bench import MzSetup
-from .circuit import DriveCircuit
-from .elements import CrystalSpec, half_wave_voltage
+from .circuit import DriveCircuit, GateSchedule
+from .elements import CrystalSpec, LossElement, half_wave_voltage
 from .loop import LoopLayout, build_default_loop
+from .polarization import linear_state
 
 __all__ = [
     "ConfigError",
@@ -137,17 +140,23 @@ class SceneConfig:
     recovery: RecoveryConfig = RecoveryConfig()
     loss: Optional[LossConfig] = None
 
+    @contextlib.contextmanager
+    def _building(self, name: str):
+        """Yield section ``name``, refused if missing. A ``ValueError`` inside
+        becomes a ``ConfigError`` naming it; a ``ConfigError`` passes through."""
+        section = getattr(self, name)
+        if section is None:
+            raise ConfigError(f"missing required section [{name}]")
+        try:
+            yield section
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"[{name}]: {exc}") from None
+
     def crystal_spec(self) -> CrystalSpec:
-        if self.crystal is None:
-            raise ConfigError("missing required section [crystal]")
-        c = self.crystal
-        return CrystalSpec(
-            length=c.length_L,
-            thickness=c.thickness_d,
-            wavelength=c.wavelength,
-            n_e=c.n_e,
-            r33=c.r33,
-        )
+        with self._building("crystal") as c:
+            return CrystalSpec(c.length_L, c.thickness_d, c.wavelength, c.n_e, c.r33)
 
     def loop_layout(self) -> LoopLayout:
         """The paper's loop at the configured pair angles. Splitter
@@ -160,34 +169,29 @@ class SceneConfig:
         )
 
     def mz_setup(self) -> MzSetup:
-        loop = self.loop_layout()
-        mz = self.mz
-        try:
-            return MzSetup(
-                loop=loop,
-                ref_arm=np.diag([1.0, np.exp(1j * math.radians(mz.ref_phase_deg))]),
-                mode_overlap=mz.mode_overlap,
-                background=mz.background,
-                arm_imbalance=mz.arm_imbalance,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[mz]: {exc}") from None
+        with self._building("mz") as mz:
+            ref_arm = np.diag([1.0, np.exp(1j * math.radians(mz.ref_phase_deg))])
+            return MzSetup(self.loop_layout(), ref_arm, mz.mode_overlap, mz.background, mz.arm_imbalance)
 
     def drive_circuit(self) -> DriveCircuit:
-        if self.circuit is None:
-            raise ConfigError("missing required section [circuit]")
-        cc = self.circuit
-        supply = cc.supply_voltage
-        if supply is None:
-            supply = half_wave_voltage(self.crystal_spec())
-        return DriveCircuit(
-            supply_voltage=supply,
-            recharge_r=cc.R,
-            total_c=cc.C,
-            mosfet_on_r=cc.mosfet_on_R,
-            gate_rise_time=cc.gate_rise_time,
-            gate_delay=cc.gate_delay,
-        )
+        with self._building("circuit") as cc:
+            supply = cc.supply_voltage
+            if supply is None:
+                supply = half_wave_voltage(self.crystal_spec())
+            return DriveCircuit(supply, cc.R, cc.C, cc.mosfet_on_R, cc.gate_rise_time, cc.gate_delay)
+
+    def gate_schedule(self) -> GateSchedule:
+        with self._building("trace") as tr:
+            return GateSchedule((tr.gate_on,), tr.hold)
+
+    def input_state(self) -> np.ndarray:
+        with self._building("trace") as tr:
+            return linear_state(math.radians(tr.input_angle_deg))
+
+    def loss_chain(self) -> tuple:
+        """One ``LossElement`` per [loss] transmission."""
+        with self._building("loss") as loss:
+            return tuple(LossElement(t) for t in loss.transmissions)
 
 
 def _kind(hint):

@@ -321,9 +321,7 @@ def library_entries() -> dict:
         for name, (circuit, gates, t_end, dt, v_start) in _transients(np.random.default_rng(26)).items()
     }
     for name, cfg in scenes.items():
-        setup, circuit, trace = cfg.mz_setup(), cfg.drive_circuit(), cfg.trace
-        gates = GateSchedule((trace.gate_on,), trace.hold)
-        state = linear_state(math.radians(trace.input_angle_deg))
+        setup, circuit, gates, state = cfg.mz_setup(), cfg.drive_circuit(), cfg.gate_schedule(), cfg.input_state()
         entries[name] = {
             "table1": {
                 str(n): [[repr(r.i_on), repr(r.i_off), repr(r.v_half_fit)]

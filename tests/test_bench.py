@@ -580,8 +580,7 @@ class TestSwitchingTrace:
         scene = parse_config(
             (Path(__file__).parents[1] / "demos" / "configs" / "fitted.ini").read_text()
         )
-        setup, state, tr = scene.mz_setup(), linear_state(0.0), scene.trace
-        gates = GateSchedule((tr.gate_on,), tr.hold)
+        setup, state, gates, tr = scene.mz_setup(), scene.input_state(), scene.gate_schedule(), scene.trace
         r_on = fit_mosfet_on_r(setup, state, scene.drive_circuit(), gates, tr.t_end, tr.dt, 1.6e-9)
         circuit = replace(scene.drive_circuit(), mosfet_on_r=r_on)
         voltage = ode_oracle(circuit, gates, tr.t_end, tr.dt, circuit.supply_voltage)

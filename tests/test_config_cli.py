@@ -405,25 +405,63 @@ class TestCli:
         assert "[loop]" in err and key in err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("command", ["table1", "transient"])
+    # Each value that a section's library object refuses while the scene
+    # builds it: the case's name, the commands that reach it, the section, the
+    # line of fitted.ini it replaces, the bad text and the refusal's message.
+    BUILD_REFUSALS = [
+        ("mode_overlap", ("table1", "transient"), "mz",
+         "mode_overlap = 0.954", "mode_overlap = 2", "mode_overlap must lie in [0, 1]"),
+        ("arm_imbalance", ("table1", "transient"), "mz",
+         "[mz]\n", "[mz]\narm_imbalance = -1\n", "arm_imbalance must be positive"),
+        ("background", ("table1", "transient"), "mz",
+         "[mz]\n", "[mz]\nbackground = -0.5\n", "background must be finite and non-negative"),
+        # recovery reaches the crystal through the driver's default supply.
+        ("thickness_d", ("table1", "transient", "recovery"), "crystal",
+         "thickness_d = 1m", "thickness_d = 30m", "crystal length (0.02) must exceed thickness (0.03)"),
+        ("n_e", ("device-matrix",), "crystal",
+         "n_e = 2.20", "n_e = 1e-200", "half-wave voltage must be finite and positive"),
+        ("R", ("transient", "recovery"), "circuit",
+         "R = 20k", "R = -5", "DriveCircuit.recharge_r must be finite and positive"),
+        ("gate_rise_time", ("transient",), "circuit",
+         "gate_rise_time = 400p", "gate_rise_time = 1e-300", "gate_rise_time = 1e-300 s is too short"),
+        # V_half is about 1.52e308 V, the default supply: supply * R_on
+        # overflows. The supply defaults to V_half, so the driver names it.
+        ("on-state voltage", ("transient", "recovery"), "circuit",
+         "wavelength = 632.8n", "wavelength = 1e300", "on-state voltage"),
+        # R * C overflows: without the check, recovery writes 61 rows of 0.
+        ("time constants", ("recovery",), "circuit",
+         "R = 20k\nC = 50p\nmosfet_on_R = 23.5\ngate_rise_time = 400p",
+         "R = 1e302\nC = 1e10\nmosfet_on_R = 1e290\ngate_rise_time = 1e-290",
+         "time constants recharge_r * total_c"),
+        ("gate_on", ("transient",), "trace", "gate_on = 2n", "gate_on = -1", "on_times must be non-negative"),
+        *(
+            (f"transmissions = {value}", ("loss",), "loss", "transmissions = 0.977, 0.977",
+             f"transmissions = {value}", "transmission must lie in (0, 1]")
+            for value in ("0", "-0.5", "0.5, 0")
+        ),
+    ]
+
     @pytest.mark.parametrize(
-        "line, message",
+        "command, section, line, bad_line, message",
         [
-            ("mode_overlap = 2", "mode_overlap must lie in [0, 1]"),
-            ("arm_imbalance = -1", "arm_imbalance must be positive"),
-            ("background = -0.5", "background must be finite and non-negative"),
+            pytest.param(command, section, line, bad_line, message, id=f"{section}-{name}-{command}")
+            for name, commands, section, line, bad_line, message in BUILD_REFUSALS
+            for command in commands
         ],
-        ids=["mode_overlap", "arm_imbalance", "background"],
     )
-    def test_bad_mz_value_exit_2(self, tmp_path, capsys, command, line, message):
-        # A value outside its key's range is a configuration error, and the
-        # message names its section.
+    def test_build_time_refusal_exit_2(self, tmp_path, capsys, command, section, line, bad_line, message):
+        # A value refused while the scene builds its objects is a
+        # configuration error: it exits 2 and the message names its section.
+        text = (ROOT / "demos/configs/fitted.ini").read_text()
+        assert line in text
         bad = tmp_path / "bad.ini"
-        bad.write_text(IDEAL_TEXT.replace("[mz]\n", f"[mz]\n{line}\n"))
+        bad.write_text(text.replace(line, bad_line, 1))
         out = tmp_path / "o.csv"
-        assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(bad), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: [mz]: ")
+        assert err.startswith(f"config error: [{section}]: ")
         assert message in err
         assert not out.exists()
 
@@ -438,27 +476,12 @@ class TestCli:
     @pytest.mark.parametrize(
         "line, bad_line, message, command",
         [
-            ("gate_on = 2n", "gate_on = -1", "on_times must be non-negative", "transient"),
-            ("gate_rise_time = 400p", "gate_rise_time = 1e-300",
-             "gate_rise_time = 1e-300 s is too short", "transient"),
-            # V_half is about 1.52e308 V, the default supply: supply * R_on overflows.
-            ("wavelength = 632.8n", "wavelength = 1e300", "on-state voltage", "transient"),
-            # R * C overflows: without the check, recovery writes 61 rows of 0.
-            ("R = 20k\nC = 50p\nmosfet_on_R = 23.5\ngate_rise_time = 400p",
-             "R = 1e302\nC = 1e10\nmosfet_on_R = 1e290\ngate_rise_time = 1e-290",
-             "time constants recharge_r * total_c", "recovery"),
             # The table's upper decade bound 1e309 Hz overflows: without the
             # check, its NaN rates fit no hold and the table keeps one row.
             ("repetition_rate = 100k", "repetition_rate = 1e308",
              "repetition_rate = 1e+308 Hz", "recovery"),
         ],
-        ids=[
-            "gate_on = 2n-gate_on = -1-on_times must be non-negative",
-            "gate_rise_time = 400p-gate_rise_time = 1e-300-gate_rise_time = 1e-300 s is too short",
-            "wavelength = 632.8n-wavelength = 1e300-on-state voltage",
-            "recovery-time constants overflow",
-            "recovery-repetition_rate overflow",
-        ],
+        ids=["recovery-repetition_rate overflow"],
     )
     def test_bad_driver_value_exit_3_without_warnings(
         self, tmp_path, capsys, line, bad_line, message, command
@@ -499,14 +522,6 @@ class TestCli:
         assert "RuntimeWarning" not in err
         assert not out.exists()
 
-    def test_degenerate_half_wave_voltage_exit_3(self, tmp_path, capsys):
-        bad = tmp_path / "bad.ini"
-        bad.write_text(IDEAL_TEXT.replace("n_e = 2.20", "n_e = 1e-200"))
-        out = tmp_path / "o.csv"
-        assert main(["device-matrix", "--config", str(bad), "--out", str(out)]) == 3
-        assert "half-wave voltage must be finite and positive" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "command, text, section",
         [
@@ -524,22 +539,13 @@ class TestCli:
         cfg.write_text(text)
         out = tmp_path / "o.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"missing required section {section}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: missing required section {section}\n"
         assert not out.exists()
 
     def test_domain_error_exit_3(self, config_path, tmp_path, capsys):
         code, _ = self.run("table1", config_path, tmp_path, "--sweep-max", "10.0")
         assert code == 3
         assert "sweep range" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["0", "-0.5", "0.5, 0"])
-    def test_bad_transmissions_exit_3(self, tmp_path, capsys, value):
-        bad = tmp_path / "bad.ini"
-        bad.write_text(IDEAL_TEXT + f"\n[loss]\ntransmissions = {value}\n")
-        out = tmp_path / "o.csv"
-        assert main(["loss", "--config", str(bad), "--out", str(out)]) == 3
-        assert "transmissions must lie in (0, 1]" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_omitted_sections_give_the_same_outputs(self, tmp_path, capsys):
         loss = "\n[loss]\ntransmissions = 0.794\n"

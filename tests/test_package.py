@@ -178,6 +178,21 @@ def test_no_default_is_set_by_every_caller():
     assert not always, f"defaulted parameters every caller sets: {always}"
 
 
+def test_only_the_scene_constructs_config_errors():
+    # config.py owns the configuration's refusals: parse_config names the
+    # line and key, and the scene names the section whose object refused a
+    # value. Every other module lets a ConfigError pass, or catches it.
+    constructed = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ConfigError"
+    ]
+    assert not constructed, f"ConfigError constructed outside config.py: {constructed}"
+
+
 # Lines each demo prints, and the file it writes, if any.
 DEMO_OUTPUTS = {
     "01_polarization_independence.py": ((
