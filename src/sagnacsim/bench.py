@@ -29,11 +29,12 @@ a = P_H s, c = P_V s, r = gamma sqrt(b) M_ref s and
   K_hv = (1/2 + 1/4 (1 - gamma^2)) <a, c>,  K_h = 1/2 <r, a>,  K_v = 1/2 <r, c>
 
 three coefficients and a constant per state, fixed before any voltage is
-read, and no 2x2 matrix per voltage. The law's rounding error is absolute,
-about 1e-16 of the bright fringe, so a reading near an exact dark fringe
-keeps fewer relative digits than its absolute value suggests; a reading is
-never below ``background``, which the exact law guarantees and the
-evaluator enforces.
+read, and no 2x2 matrix per voltage. ``loop._power_law``, the one evaluator
+of this law, reads them; the scan's port-A power is another row of it. The
+law's rounding error is absolute, about 1e-16 of the bright fringe, so a
+reading near an exact dark fringe keeps fewer relative digits than its
+absolute value suggests; a reading is never below ``background``, which
+the exact law guarantees and the evaluator enforces.
 
 Visibility is (I_on - I_off) / (I_on + I_off) after background subtraction;
 the on/off contrast (1 + v) / (1 - v) is reported as a ratio and in dB.
@@ -54,7 +55,7 @@ import numpy as np
 from . import circuit as _circuit
 from .circuit import DriveCircuit, GateSchedule, Waveform, edge_time_10_90, simulate
 from .elements import CrystalSpec, half_wave_voltage
-from .loop import LoopLayout, _relative_factor
+from .loop import LoopLayout, _power_law
 from .polarization import _as_state, linear_state
 
 __all__ = [
@@ -138,10 +139,9 @@ class MeasurementRecord:
 
 
 def _fringe_coefficients(setup: MzSetup, states: list[np.ndarray]) -> np.ndarray:
-    """One row per input state: the fringe law's constant, then the real and
-    imaginary parts of K_hv, K_h and K_v. Each row is worked out in Python
-    scalars from its own state alone, so it does not depend on the states
-    stacked with it."""
+    """One row (C0, K_hv, K_h, K_v) per input state, in ``loop._power_law``'s
+    layout, with complex K. Each row is worked out in Python scalars from its
+    own state alone, so it does not depend on the states stacked with it."""
     part_h, part_v = setup.loop._parts[:, 0].tolist()  # port B's
     ref_arm = setup.ref_arm.tolist()
     gamma, imbalance = setup.mode_overlap, setup.arm_imbalance
@@ -165,8 +165,8 @@ def _fringe_coefficients(setup: MzSetup, states: list[np.ndarray]) -> np.ndarray
         k_hv = (0.5 + 0.25 * partial) * inner(a, c)
         k_h = 0.5 * inner(r, a)
         k_v = 0.5 * inner(r, c)
-        rows.append((constant, k_hv.real, k_hv.imag, k_h.real, k_h.imag, k_v.real, k_v.imag))
-    return np.array(rows).reshape(-1, 7)
+        rows.append((constant, k_hv, k_h, k_v))
+    return np.array(rows, dtype=complex)
 
 
 def _intensities(setup: MzSetup, states, voltages) -> np.ndarray:
@@ -174,13 +174,8 @@ def _intensities(setup: MzSetup, states, voltages) -> np.ndarray:
     (len(states), len(voltages)), by the fringe law of the module docstring.
 
     Per state, the constant and the three coefficients are fixed before any
-    voltage is read; per voltage, the reading is the constant plus the real
-    parts of three phase-factor terms, taken in real arithmetic
-    (K.real * f.real - K.imag * f.imag): numpy's complex multiply rounds
-    differently in its vectorized and its scalar loop, so a complex product
-    would make a reading depend on the block it falls in. Each reading is
-    clamped at ``background``, the law's exact floor, which rounding can
-    undercut by about 1e-16 of the bright fringe. The voltages are walked in
+    voltage is read; each block's readings are ``loop._power_law`` at its
+    phase factors, clamped at ``background``. The voltages are walked in
     the driver's blocks, so the memory beyond the readings stays one block's
     worth; a reading that overflows a float is refused."""
     voltages = np.asarray(voltages, dtype=float)
@@ -189,19 +184,10 @@ def _intensities(setup: MzSetup, states, voltages) -> np.ndarray:
     block = _circuit._BLOCK
     eom = setup.loop.eom
     with np.errstate(over="ignore", invalid="ignore"):
-        # Each a column of one value per state.
-        constant, hv_re, hv_im, h_re, h_im, v_re, v_im = _fringe_coefficients(setup, states).T[..., None]
+        coefficients = _fringe_coefficients(setup, states)
         for lo in range(0, len(voltages), block):
-            f_h, f_v = eom.phase_factors(voltages[lo : lo + block])
-            hr, hi, vr, vi = f_h.real, f_h.imag, f_v.real, f_v.imag
-            g_re, g_im = _relative_factor(f_h, f_v)  # conj(f_H) f_V
-            out[:, lo : lo + block] = (
-                constant
-                + (hv_re * g_re - hv_im * g_im)
-                + (h_re * hr - h_im * hi)
-                + (v_re * vr - v_im * vi)
-            )
-        np.maximum(out, setup.background, out=out)
+            factors = eom.phase_factors(voltages[lo : lo + block])
+            out[:, lo : lo + block] = _power_law(coefficients, factors, setup.background)
     if not np.all(np.isfinite(out)):
         raise ValueError("detected power overflows a float: input state or reference arm too strong")
     return out

@@ -26,10 +26,13 @@ splitter and its path, and port A, the input side, is read as leakage.
 ``device_matrix``, the one evaluator, stacks the phase factors at voltages
 of any shape with port B's parts (``_stack``); ``device_matrix_batch`` is
 the same function, kept for the benchmark until ROADMAP item 1.
-``trace_ports`` stacks both ports' parts at one voltage.
-``independence_scan`` builds port B's stack and reads port A's power from
-the parts alone, with no port-A stack (see its docstring). The state
-leaving port B is ``device_matrix(layout, V) @ state``.
+``trace_ports`` stacks both ports' parts at one voltage. A power read
+from the loop is C0 + Re(K_hv conj(f_H) f_V + K_h f_H + K_v f_V) with fixed
+coefficients; ``_power_law`` is its one evaluator, and both port A's power
+in ``independence_scan`` and the bench's fringe (``bench._intensities``)
+read it. ``independence_scan`` builds port B's stack and no port-A stack
+(see its docstring). The state leaving port B is
+``device_matrix(layout, V) @ state``.
 
 The modulator sits at the midpoint index of the path; that placement matters
 for the timing symmetry of the two beams in the physical device, not for the
@@ -173,13 +176,28 @@ def _stack(factors, parts) -> np.ndarray:
     return out
 
 
-def _relative_factor(factor_h: np.ndarray, factor_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of conj(f_H) f_V, taken in real products:
-    numpy's complex multiply rounds differently in its vectorized and its
-    scalar loop, so a complex product would make a value depend on the
-    array it falls in."""
+def _power_law(coefficients, factors, floor: float) -> np.ndarray:
+    """C0 + Re(K_hv conj(f_H) f_V + K_h f_H + K_v f_V), shape (rows,) +
+    f_H.shape, for the rows (C0, K_hv, K_h, K_v) of ``coefficients`` (C0
+    real, the K complex) and the unit phase factors ``factors`` = (f_H, f_V):
+    the power of any reading linear in the two factors, as each beam crosses
+    the modulator once. Every product is taken in real parts: numpy's
+    complex multiply rounds differently in its vectorized and its scalar
+    loop, so a complex product would make a value depend on the array it
+    falls in. The result is clamped at ``floor``, the exact law's least
+    value, which rounding can undercut by about 1e-16 of the largest power;
+    a NaN passes the clamp."""
+    constant, k_hv, k_h, k_v = np.asarray(coefficients, dtype=complex).reshape(-1, 4).T[..., None]
+    factor_h, factor_v = factors
     hr, hi, vr, vi = factor_h.real, factor_h.imag, factor_v.real, factor_v.imag
-    return hr * vr + hi * vi, hr * vi - hi * vr
+    g_re, g_im = hr * vr + hi * vi, hr * vi - hi * vr  # conj(f_H) f_V
+    out = (
+        constant.real
+        + (k_hv.real * g_re - k_hv.imag * g_im)
+        + (k_h.real * hr - k_h.imag * hi)
+        + (k_v.real * vr - k_v.imag * vi)
+    )
+    return np.maximum(out, floor, out=out)
 
 
 def trace_ports(layout: LoopLayout, state, drive_voltage: float) -> tuple[np.ndarray, np.ndarray]:
@@ -232,9 +250,8 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
 
       0.5 ||M_A||_F^2 = 0.5 (||A_H||^2 + ||A_V||^2) + Re(conj(f_H) f_V <A_H, A_V>),
 
-    taken in real products and clamped at 0, the law's exact floor, which
-    rounding can undercut by about 1e-16. Port B's columns stay on the
-    stack: the same law for ||M||_F^2 cancels to 0 or below where port B
+    one row of ``_power_law`` with K_h = K_v = 0 and floor 0. Port B's
+    columns stay on the stack: the same law for ||M||_F^2 cancels to 0 or below where port B
     goes dark (``build_default_loop(crystal, hwp_angle=0.0)`` at V_half), and
     a law for |tr M|^2 would lose half its digits to the square root where
     tr M vanishes.
@@ -253,10 +270,6 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
     phases = np.unwrap(_canonical_phases(matrices, squared)[0])
     infidelities = _scaled_identity_infidelities(matrices, squared)
     part_h, part_v = layout._parts[:, 1].reshape(2, 4)  # port A's
-    cross = complex(np.vdot(part_h, part_v))  # <A_H, A_V>
-    g_re, g_im = _relative_factor(*factors)
-    leaks = cross.real * g_re
-    leaks -= cross.imag * g_im
-    leaks += 0.5 * (np.vdot(part_h, part_h).real + np.vdot(part_v, part_v).real)
-    np.maximum(leaks, 0.0, out=leaks)
+    power = 0.5 * (np.vdot(part_h, part_h).real + np.vdot(part_v, part_v).real)
+    leaks = _power_law((power, np.vdot(part_h, part_v), 0.0, 0.0), factors, 0.0)[0]
     return np.rec.fromarrays((voltages, phases, infidelities, leaks), names=_SCAN_FIELDS)

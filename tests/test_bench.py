@@ -612,9 +612,7 @@ class TestBrent:
     def fitted_scene(self):
         text = (Path(__file__).parents[1] / "demos" / "configs" / "fitted.ini").read_text()
         cfg = parse_config(text)
-        ref = np.diag([1.0, np.exp(1j * math.radians(cfg.mz.ref_phase_deg))])
-        setup = MzSetup(cfg.loop_layout(), ref, cfg.mz.mode_overlap)
-        return setup, cfg.drive_circuit()
+        return cfg.mz_setup(), cfg.drive_circuit()
 
     @pytest.mark.parametrize("target", [1.2e-9, 1.6e-9, 2.5e-9, 4e-9])
     def test_fit_matches_brentq(self, fitted_scene, target, monkeypatch):

@@ -333,12 +333,15 @@ class TestIndependenceScan:
         voltages = np.linspace(0.0, 2 * v_half, 11)
         factors = mock.Mock(wraps=layout.eom.phase_factors)
         stack = mock.Mock(wraps=loop_module._stack)
+        law = mock.Mock(wraps=loop_module._power_law)
         with mock.patch.object(Eom, "phase_factors", lambda eom, v: factors(v)), \
-                mock.patch.object(loop_module, "_stack", stack):
+                mock.patch.object(loop_module, "_stack", stack), \
+                mock.patch.object(loop_module, "_power_law", law):
             independence_scan(layout, voltages)
         assert factors.call_count == 1
         # The output port's parts only: port A's power comes from its law.
         assert stack.call_count == 1 and np.shape(stack.call_args.args[1]) == (2, 2, 2)
+        assert law.call_count == 1 and law.call_args.args[2] == 0.0
 
     def test_port_a_power_with_complex_axis_dependent_parts(self, crystal, v_half):
         # <A_H, A_V> is real for every layout the element catalogue builds, so
