@@ -251,10 +251,10 @@ def independence_scan(layout: LoopLayout, voltages: Sequence[float]) -> np.recar
       0.5 ||M_A||_F^2 = 0.5 (||A_H||^2 + ||A_V||^2) + Re(conj(f_H) f_V <A_H, A_V>),
 
     one row of ``_power_law`` with K_h = K_v = 0 and floor 0. Port B's
-    columns stay on the stack: the same law for ||M||_F^2 cancels to 0 or below where port B
-    goes dark (``build_default_loop(crystal, hwp_angle=0.0)`` at V_half), and
-    a law for |tr M|^2 would lose half its digits to the square root where
-    tr M vanishes.
+    columns stay on the stack: the same law for ||M||_F^2 cancels to 0 or
+    below where port B goes dark (``build_default_loop(crystal,
+    hwp_angle=0.0)`` at V_half), and a law for |tr M|^2 would lose half its
+    digits to the square root where tr M vanishes.
     """
     voltages = np.asarray(voltages, dtype=float)
     if voltages.ndim != 1:
