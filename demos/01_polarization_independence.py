@@ -17,9 +17,7 @@ from sagnacsim import (
     device_matrix,
     global_phase_decompose,
     half_wave_voltage,
-    identity_infidelity,
     independence_scan,
-    normalize,
     scaled_identity_infidelity,
     stokes,
 )
@@ -43,11 +41,11 @@ for frac in (0.0, 0.25, 0.5, 1.0, 1.5):
     dec = global_phase_decompose(m)
     print(
         f"  V = {frac:4.2f} V_half -> phase {dec.global_phase / math.pi:+6.3f} pi, "
-        f"infidelity {identity_infidelity(m):.2e}"
+        f"infidelity {scaled_identity_infidelity(m):.2e}"
     )
 
 print("\na random elliptical state passes unchanged (up to the global phase):")
-state = normalize(np.array([0.6, 0.8j * np.exp(0.3j)]))
+state = np.array([0.6, 0.8j * np.exp(0.3j)])  # unit: 0.36 + 0.64
 out = device_matrix(layout, 0.7 * v_half) @ state
 print(f"  input  Stokes: {np.round(stokes(state), 6)}")
 print(f"  output Stokes: {np.round(stokes(out), 6)}")

@@ -8,9 +8,10 @@ multiplication.
 
 The central diagnostic is how close a transform is to a pure global phase
 e^{i phi} * I. ``global_phase_decompose`` factors the phase out;
-``identity_infidelity`` turns the residual into a scalar metric
-1 - |tr(M)| / 2, which is zero exactly for phase * identity and grows to 1
-for transforms that fully disturb the polarization.
+``scaled_identity_infidelity`` is the one polarization-independence metric,
+1 - |tr(M)| / (sqrt(2) ||M||_F). It is zero exactly for a multiple of the
+identity and grows to 1 for transforms that fully disturb the polarization;
+on unitary input it reads 1 - |tr(M)| / 2.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ __all__ = [
     "V",
     "PhaseDecomposition",
     "global_phase_decompose",
-    "identity_infidelity",
     "linear_state",
-    "normalize",
     "rotation",
     "scaled_identity_infidelity",
     "stokes",
 ]
 
-_IDENTITY = np.eye(2, dtype=complex)
 # Moduli within this relative distance of a transform's largest tie for its pivot.
 _PIVOT_TIE = 1e-12
 
@@ -53,23 +51,12 @@ def _as_state(s) -> np.ndarray:
     return s
 
 
-def _norm(s: np.ndarray) -> float:
-    """Euclidean norm of a state. No part is squared on the way, so it
-    overflows or underflows only where the norm itself does."""
-    return math.hypot(s[0].real, s[0].imag, s[1].real, s[1].imag)
-
-
-def _largest_part(x: np.ndarray) -> float:
-    """Largest |real| or |imaginary| part of the entries: a finite scale of a
-    finite array, found without squaring anything."""
-    return float(max(np.max(np.abs(x.real)), np.max(np.abs(x.imag))))
-
-
 def _rescaled(x: np.ndarray) -> np.ndarray:
-    """x over its largest part, so no part exceeds 1 (x itself if all are 0).
-    Each part is divided on its own: numpy divides a complex array by the
-    reciprocal of a real divisor, which overflows for a subnormal one."""
-    top = _largest_part(x)
+    """x over its largest |real| or |imaginary| part, found without squaring
+    anything, so no part exceeds 1 (x itself if all are 0). Each part is
+    divided on its own: numpy divides a complex array by the reciprocal of a
+    real divisor, which overflows for a subnormal one."""
+    top = float(max(np.max(np.abs(x.real)), np.max(np.abs(x.imag))))
     return x.real / top + 1j * (x.imag / top) if top else x
 
 
@@ -89,32 +76,12 @@ def linear_state(angle: float) -> np.ndarray:
     return np.array([math.cos(angle), math.sin(angle)], dtype=complex)
 
 
-def normalize(s) -> np.ndarray:
-    """Rescale ``s`` to unit power, leaving its direction (and phase) alone.
-
-    Raises ValueError for the zero state, which has no direction.
-    """
-    s = _rescaled(_as_state(s))  # a state near the float limit has a norm past it
-    norm = _norm(s)
-    if norm == 0.0:
-        raise ValueError("unnormalizable: zero polarization state")
-    return s / norm
-
-
 def rotation(theta: float) -> np.ndarray:
     """Rotation of the transverse plane by ``theta`` radians (H toward V)."""
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle theta must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _unitarity_deviation(m: np.ndarray) -> float:
-    """Largest entry of |M^dagger M - I|. A part past 1e150 puts it past
-    1e300; that answer is inf, without squaring the matrix."""
-    if _largest_part(m) > 1e150:
-        return math.inf
-    return float(np.max(np.abs(m.conj().T @ m - _IDENTITY)))
 
 
 class PhaseDecomposition(NamedTuple):
@@ -183,23 +150,6 @@ def global_phase_decompose(m) -> PhaseDecomposition:
     return PhaseDecomposition(phase, residual)
 
 
-def identity_infidelity(m) -> float:
-    """Polarization-independence metric 1 - |tr(m)| / 2 for lossless m.
-
-    Zero iff m = e^{i phi} * I; invariant under global phase. Requires a
-    unitary input (max deviation of M^dagger M from I below 1e-9); lossy
-    transforms must go through ``scaled_identity_infidelity`` instead.
-    """
-    m = _as_transform(m)
-    dev = _unitarity_deviation(m)
-    if dev >= 1e-9:
-        raise ValueError(
-            f"identity_infidelity requires a lossless transform (unitarity deviation {dev:.3e})"
-        )
-    val = 1.0 - abs(m[0, 0] + m[1, 1]) / 2.0
-    return float(min(max(val, 0.0), 1.0))
-
-
 def _scaled_identity_infidelities(ms: np.ndarray, squared: np.ndarray) -> np.ndarray:
     """``scaled_identity_infidelity`` of each transform in a stack of moderate
     entries, shape (n, 2, 2), given the stack's ``_squared_moduli``."""
@@ -214,11 +164,13 @@ def _scaled_identity_infidelities(ms: np.ndarray, squared: np.ndarray) -> np.nda
 def scaled_identity_infidelity(m) -> float:
     """Scale-invariant distance from phase * identity: 1 - |tr m| / (sqrt(2) ||m||_F).
 
-    Agrees with ``identity_infidelity`` on unitary input (where the Frobenius
-    norm is sqrt(2)) and stays in [0, 1] for any nonzero transform by the
-    Cauchy-Schwarz bound |tr m| <= sqrt(2) ||m||_F, with equality iff m is
-    proportional to the identity. Used for lossy device matrices, where a
-    common amplitude loss should not count as polarization dependence.
+    The package's one polarization-independence metric. It stays in [0, 1]
+    for any nonzero transform by the Cauchy-Schwarz bound
+    |tr m| <= sqrt(2) ||m||_F, with equality iff m is proportional to the
+    identity, and is invariant under global phase. On unitary input, where
+    the Frobenius norm is sqrt(2), it reads 1 - |tr m| / 2; a common
+    amplitude loss of a lossy device matrix does not count as polarization
+    dependence. Raises ValueError for the zero matrix.
     """
     # The metric is scale-invariant, and rescaling keeps ||m||_F in range.
     ms = _rescaled(_as_transform(m))[None]
@@ -233,7 +185,9 @@ def stokes(s) -> tuple[float, float, float, float]:
     state whose power S0 overflows a float.
     """
     s = _as_state(s)
-    norm = _norm(s)
+    # No part is squared on the way, so the norm overflows or underflows
+    # only where it itself does.
+    norm = math.hypot(s[0].real, s[0].imag, s[1].real, s[1].imag)
     power = norm * norm
     if power == math.inf:
         raise ValueError(f"polarization state power overflows a float, got norm {norm:g}")

@@ -27,11 +27,11 @@ from sagnacsim import (
     fit_reference_imperfections,
     global_phase_decompose,
     half_wave_voltage,
-    identity_infidelity,
     independence_scan,
     linear_state,
     recovery_fraction,
     rotation,
+    scaled_identity_infidelity,
     simulate,
     switching_trace,
     table1_report,
@@ -59,24 +59,34 @@ def test_criterion_1_polarization_independence():
     layout = build_default_loop(CRYSTAL)
     voltages = np.linspace(0.0, 2.0 * V_HALF, 101)
     worst_infidelity = 0.0
+    worst_unitarity = 0.0
     worst_phase_err = 0.0
     points = independence_scan(layout, voltages)
     for p, v in zip(points, voltages):
-        worst_infidelity = max(worst_infidelity, identity_infidelity(device_matrix(layout, v)))
+        m = device_matrix(layout, v)
+        worst_infidelity = max(worst_infidelity, scaled_identity_infidelity(m))
+        # lossless: the scaled metric alone would pass a common loss
+        worst_unitarity = max(worst_unitarity, np.max(np.abs(m.conj().T @ m - np.eye(2))))
         expected = math.pi * v / V_HALF
         if v > 0:
             worst_phase_err = max(worst_phase_err, abs(p.global_phase - expected) / expected)
         else:
             worst_phase_err = max(worst_phase_err, abs(p.global_phase))
     elapsed = time.perf_counter() - start
-    ok = worst_infidelity < 1e-10 and worst_phase_err < 1e-9 and elapsed < 1.0
+    ok = (
+        worst_infidelity < 1e-10
+        and worst_unitarity < 1e-9
+        and worst_phase_err < 1e-9
+        and elapsed < 1.0
+    )
     report(
         "criterion 1 (polarization independence)",
         ok,
-        f"max infidelity {worst_infidelity:.2e}, max phase rel err {worst_phase_err:.2e}, "
-        f"{elapsed:.2f} s",
+        f"max infidelity {worst_infidelity:.2e}, max unitarity deviation {worst_unitarity:.2e}, "
+        f"max phase rel err {worst_phase_err:.2e}, {elapsed:.2f} s",
     )
     assert worst_infidelity < 1e-10
+    assert worst_unitarity < 1e-9
     assert worst_phase_err < 1e-9
     assert elapsed < 1.0
 

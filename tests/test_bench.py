@@ -654,6 +654,36 @@ class TestBrent:
     def test_endpoint_root(self):
         assert _brent(lambda x: x - 2.0, 2.0, 5.0, 1e-3) == 2.0
 
+    @pytest.mark.parametrize(
+        "f, xtol, converges",
+        [
+            (lambda x: (x - 1.234) ** 5, 1e-9, True),  # flat root: interpolation steps too short
+            (lambda x: math.atan(1e6 * (x - 1.234)), 1e-9, True),  # step: interpolation overshoots
+            (lambda x: (x - 1.234) ** 3, 1e-12, False),  # the bracket stalls above xtol
+        ],
+        ids=["quintic", "arctan_step", "cubic_no_convergence"],
+    )
+    def test_bisection_fallbacks_match_brentq(self, f, xtol, converges):
+        # These reach both bisection fallbacks and the 100-iteration refusal,
+        # which the fit's smooth edge-time curve never takes.
+        def run(solver):
+            evaluated = []
+
+            def counted(x):
+                evaluated.append(x)
+                return f(x)
+
+            if converges:
+                return solver(counted, 0.0, 10.0, xtol), evaluated
+            with pytest.raises(RuntimeError, match="100 iterations"):
+                solver(counted, 0.0, 10.0, xtol)
+            return None, evaluated
+
+        root, evaluated = run(_brent)
+        assert (root, evaluated) == run(lambda g, a, b, t: brentq(g, a, b, xtol=t))
+        if not converges:
+            assert len(evaluated) == 102  # the two ends and 100 steps
+
 
 class TestTable1Report:
     def test_ideal_rows(self, ideal_setup, v_half):

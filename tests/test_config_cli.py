@@ -617,3 +617,24 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_process_exit_codes(tmp_path):
+    # The console script exits with main()'s code: 0 on success, 3 for a
+    # domain error and 2 for a configuration problem, writing no CSV unless
+    # the command succeeded.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    configs = ROOT / "demos" / "configs"
+    cases = [
+        (["loss", "--config", str(configs / "ideal.ini")], 0),
+        (["table1", "--config", str(configs / "fitted.ini"), "--sweep-max", "150"], 3),
+        (["loss", "--config", str(tmp_path / "missing.ini")], 2),
+    ]
+    for args, code in cases:
+        out = tmp_path / f"{args[0]}_{code}.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "sagnacsim.cli", *args, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == code, (args, result.stderr)
+        assert out.exists() == (code == 0), args

@@ -109,6 +109,42 @@ def test_every_public_name_has_a_caller():
     assert UNCALLED <= uncalled  # a name that gains a caller leaves the list
 
 
+def private_definitions() -> list:
+    """(name, ``file:line``) of each module-level private function, class and
+    constant of the package; dunders are left out."""
+    defined = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                flat = [e for t in nodes for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+                targets = [t.id for t in flat if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in targets:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((name, f"{path.name}:{node.lineno}"))
+    return defined
+
+
+def test_every_private_name_is_read_by_the_package():
+    # Private code that only tests or the benchmark read is dead code with a
+    # test attached: it goes. A name counts where the package loads it, bare
+    # (``_rescaled(m)``) or as an attribute (``self._building``); an import
+    # or its own definition does not.
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [f"{where} {name}" for name, where in private_definitions() if name not in read]
+    assert not unread, f"private names the package never reads: {unread}"
+
+
 @cache
 def calls_by_name() -> dict:
     """Every call in CALLERS, keyed by the name it calls: ``f`` of ``f(...)``
