@@ -297,17 +297,17 @@ def switching_trace(
 ) -> SwitchingTrace:
     """Drive the modulator and record the interferometer output over time.
 
-    The voltage waveform from the circuit simulation is mapped pointwise
-    through the interferometer response, block by block as ``simulate``
-    walks it; the optical switching time is the first 10-90 transition of
-    the intensity (a rising edge when the crystal discharges from the
-    half-wave voltage toward the bright fringe).
+    ``simulate`` builds the whole voltage waveform first, and
+    ``_intensities`` then maps it pointwise through the interferometer
+    response in the driver's block size. The optical switching time is the
+    first 10-90 transition of the intensity (a rising edge when the crystal
+    discharges from the half-wave voltage toward the bright fringe).
     """
     voltage = simulate(circuit, gates, t_end, dt, v_start=circuit.supply_voltage)
     intensity = Waveform(voltage.dt, _intensities(setup, [state], voltage.samples)[0])
     # Direction of the first switching edge, judged over the first conduction
     # window (the later recharge swings the trace back the other way).
-    window_end = _circuit._segments(circuit, gates)[3][0]
+    window_end = gates.on_times[0] + gates.hold_duration
     n = len(intensity.samples)
     k = bisect_left(range(n), min(window_end, t_end), key=lambda k: k * dt)
     rising = intensity.samples[min(max(k - 1, 1), n - 1)] >= intensity.samples[0]

@@ -85,15 +85,12 @@ class DriveCircuit:
     total_c: float
     mosfet_on_r: float
     gate_rise_time: float
-    gate_delay: float = 0.0
 
     def __post_init__(self):
         for name in ("supply_voltage", "recharge_r", "total_c", "mosfet_on_r", "gate_rise_time"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"DriveCircuit.{name} must be finite and positive, got {value}")
-        if not (math.isfinite(self.gate_delay) and self.gate_delay >= 0.0):
-            raise ValueError(f"gate delay must be finite and non-negative, got {self.gate_delay}")
         rate = _ramp_rate(self)
         if not (math.isfinite(rate) and rate > 0.0):
             raise ValueError(
@@ -136,9 +133,9 @@ class DriveCircuit:
 
 @dataclass(frozen=True)
 class GateSchedule:
-    """Gate pulse train: conduction starts ``gate_delay`` after each entry of
-    ``on_times`` and lasts ``hold_duration`` (which must cover the rise). On
-    times are non-negative: a simulation starts at t = 0 with the gate off."""
+    """Gate pulse train: conduction starts at each entry of ``on_times`` and
+    lasts ``hold_duration`` (which must cover the rise). On times are
+    non-negative: a simulation starts at t = 0 with the gate off."""
 
     on_times: tuple
     hold_duration: float
@@ -317,14 +314,13 @@ def _segments(circuit: DriveCircuit, gates: GateSchedule) -> list:
     may overwrite k, and the gate off and on rows do.
 
     Row 0 is the gate off from t = 0, then each pulse adds its ramp, on state
-    and off state; so row 3 starts where the first conduction window ends.
+    and off state.
     """
     off = partial(_relax, circuit.supply_voltage, circuit.tau_recharge)
     on = partial(_relax, circuit.on_state_voltage, circuit.tau_discharge)
     ramp = partial(_ramp, circuit)
     rows = [(0.0, off)]
-    for on_time in gates.on_times:
-        start = on_time + circuit.gate_delay
+    for start in gates.on_times:
         rows += [(start, ramp), (start + circuit.gate_rise_time, on),
                  (start + gates.hold_duration, off)]
     return rows
@@ -341,8 +337,8 @@ def simulate(
 
     ``dt`` must resolve the fast discharge edge: dt < R_on * C / 10. A grid
     of more than 10**8 samples is refused before anything is allocated. On
-    times and the gate delay are non-negative, so the gate is off at t = 0
-    and the waveform starts from ``v_start``, which has no 0 V default.
+    times are non-negative, so the gate is off at t = 0 and the waveform
+    starts from ``v_start``, which has no 0 V default.
 
     Beyond one block's temporaries in a gate ramp, the output is the only
     allocation, and it is written once: it starts empty, and each block is

@@ -37,7 +37,7 @@ _SI_EXPONENTS = {"p": -12, "n": -9, "u": -6, "m": -3, "k": 3, "M": 6}
 
 # Largest [scan]/[sweep] sample count: 500 times the largest shipped value,
 # and far below a request that would exhaust memory (1e10 samples is 80 GB).
-_MAX_SAMPLES = 10**6
+_MAX_SCENE_SAMPLES = 10**6
 
 
 class ConfigError(ValueError):
@@ -90,7 +90,6 @@ class CircuitConfig:
     mosfet_on_R: float
     supply_voltage: Optional[float] = None
     gate_rise_time: float = 400e-12
-    gate_delay: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -178,7 +177,7 @@ class SceneConfig:
             supply = cc.supply_voltage
             if supply is None:
                 supply = half_wave_voltage(self.crystal_spec())
-            return DriveCircuit(supply, cc.R, cc.C, cc.mosfet_on_R, cc.gate_rise_time, cc.gate_delay)
+            return DriveCircuit(supply, cc.R, cc.C, cc.mosfet_on_R, cc.gate_rise_time)
 
     def gate_schedule(self) -> GateSchedule:
         with self._building("trace") as tr:
@@ -219,9 +218,9 @@ def _convert(section: str, key: str, raw: str, lineno: int):
             return tuple(parse_number(part) for part in items)
         value = parse_number(raw)
         if kind is int:
-            if not (value.is_integer() and 1 <= value <= _MAX_SAMPLES):
+            if not (value.is_integer() and 1 <= value <= _MAX_SCENE_SAMPLES):
                 raise ValueError(
-                    f"must be a positive integer no larger than {_MAX_SAMPLES}, got {raw.strip()!r}"
+                    f"must be a positive integer no larger than {_MAX_SCENE_SAMPLES}, got {raw.strip()!r}"
                 )
             return int(value)
         return value

@@ -137,7 +137,7 @@ def ode_oracle(circuit, gates, t_end: float, dt: float, v_start: float) -> np.nd
     of the package's closed-form segments.
 
     G is 0 with the gate off, ramps linearly to 1 / R_on over the rise time
-    from each on time plus the gate delay, and holds until the hold ends.
+    from each on time, and holds until the hold ends.
     Each piece between two switching instants is integrated on its own with
     DOP853 (rtol = atol = 1e-12), so no step straddles a kink of G.
     """
@@ -145,7 +145,7 @@ def ode_oracle(circuit, gates, t_end: float, dt: float, v_start: float) -> np.nd
 
     sup, r, c = circuit.supply_voltage, circuit.recharge_r, circuit.total_c
     r_on, rise = circuit.mosfet_on_r, circuit.gate_rise_time
-    pulses = [(t + circuit.gate_delay, gates.hold_duration) for t in gates.on_times]
+    pulses = [(t, gates.hold_duration) for t in gates.on_times]
     times = np.arange(math.floor(t_end / dt) + 1) * dt
     last = max(t_end, times[-1])
     instants = {0.0, last}

@@ -190,23 +190,26 @@ def _array_entry(values: np.ndarray) -> dict:
 
 def _transients(rng: np.random.Generator) -> dict:
     """Seeded driver transients, keyed by name: (circuit, gates, t_end, dt,
-    v_start). Trains of 2-5 pulses, one with a gate delay, one whose hold is
-    less than 1% above the rise time, and one grid of 110 000 samples, more
-    than three blocks of 32 768 and ending in a partial one."""
+    v_start). Trains of 2-5 pulses, one train whose on times are shifted by
+    up to five discharge time constants, one whose hold is less than 1%
+    above the rise time, and one grid of 110 000 samples (on times shifted
+    by up to two), more than three blocks of 32 768 and ending in a partial
+    one."""
     cases = {}
     specs = [(f"train{k}", k, 0.0, rng.uniform(0.01, 2.0), 4000) for k in range(2, 6)]
     specs += [("gate_delay", 3, rng.uniform(0.5, 5.0), rng.uniform(0.01, 2.0), 4000),
               ("tight_hold", 3, 0.0, rng.uniform(0.001, 0.009), 4000),
               ("long_grid", 4, rng.uniform(0.0, 2.0), rng.uniform(0.01, 2.0), 110_000)]
-    for name, pulses, delay, margin, n in specs:
+    for name, pulses, shift, margin, n in specs:
         on_r = rng.uniform(5.0, 150.0)
         tau_on = on_r * 50e-12
         circuit = DriveCircuit(rng.uniform(1.0, 200.0), 20e3, 50e-12, on_r,
-                               tau_on * rng.uniform(0.1, 3.0), tau_on * delay)
+                               tau_on * rng.uniform(0.1, 3.0))
         dt = tau_on / 10.0 * rng.uniform(0.2, 0.95)
         t_end = dt * (n - 0.5)
         period = t_end / (pulses + 1)
-        on_times = tuple(period * (i + rng.uniform(0.2, 0.8)) for i in range(pulses))
+        on_times = tuple(period * (i + rng.uniform(0.2, 0.8)) + tau_on * shift
+                         for i in range(pulses))
         gates = GateSchedule(on_times, circuit.gate_rise_time * (1.0 + margin))
         cases[name] = (circuit, gates, t_end, dt, circuit.supply_voltage * rng.uniform(0.0, 1.0))
     return cases

@@ -501,7 +501,6 @@ def switch_parts(v_half, mosfet_on_r=25.0, rise=400e-12):
         total_c=50e-12,
         mosfet_on_r=mosfet_on_r,
         gate_rise_time=rise,
-        gate_delay=0.0,
     )
     gates = GateSchedule((2e-9,), 30e-9)
     return circuit, gates

@@ -29,7 +29,6 @@ def reference_circuit(mosfet_on_r=25.0, gate_rise_time=400e-12, supply=96.476):
         total_c=50e-12,
         mosfet_on_r=mosfet_on_r,
         gate_rise_time=gate_rise_time,
-        gate_delay=0.0,
     )
 
 
@@ -65,11 +64,6 @@ class TestDriveCircuit:
         # to a discharge time constant of 0.
         with pytest.raises(ValueError, match=message):
             DriveCircuit(*args)
-
-    @pytest.mark.parametrize("delay", [-1e-9, math.nan])
-    def test_gate_delay_must_be_non_negative(self, delay):
-        with pytest.raises(ValueError, match="gate delay must be finite and non-negative"):
-            DriveCircuit(96.476, 20e3, 50e-12, 25.0, 400e-12, gate_delay=delay)
 
     def test_overflowing_on_state_voltage_rejected(self):
         # supply * R_on overflows although the divider voltage itself would not.
@@ -418,7 +412,6 @@ def transients(draw, samples=4000.0):
         total_c=50e-12,
         mosfet_on_r=on_r,
         gate_rise_time=on_r * 50e-12 * draw(st.floats(0.1, 3.0)),
-        gate_delay=on_r * 50e-12 * draw(st.floats(0.0, 5.0)),
     )
     dt = on_r * 50e-12 / 10.0 * draw(st.floats(0.05, 0.95))
     t_end = dt * draw(st.floats(1.0, samples))

@@ -377,32 +377,35 @@ class TestCli:
         assert rates.min() == pytest.approx(100.0) and rates.max() < 5e3
 
     @pytest.mark.parametrize(
-        "line, key",
+        "line, key, section",
         [
             # The device is port B; the key that chose a port is gone.
-            ("output_port = B", "unknown key 'output_port' in [loop]"),
+            ("output_port = B", "unknown key 'output_port' in [loop]", "loop"),
             # Both sides share one plate/rotator pair; the keys that
             # overrode them are gone.
-            ("fr2_angle_deg = 44", "unknown key 'fr2_angle_deg' in [loop]"),
-            ("hwp2_angle_deg = 21", "unknown key 'hwp2_angle_deg' in [loop]"),
-            ("eom_axis = V", "unknown key 'eom_axis' in [loop]"),
+            ("fr2_angle_deg = 44", "unknown key 'fr2_angle_deg' in [loop]", "loop"),
+            ("hwp2_angle_deg = 21", "unknown key 'hwp2_angle_deg' in [loop]", "loop"),
+            ("eom_axis = V", "unknown key 'eom_axis' in [loop]", "loop"),
             # [loop] holds the two pair angles; the orientation, the
             # residual modulator phase and the splitter's extinction are
             # arguments of build_default_loop alone.
-            ("rotated_beam = X", "unknown key 'rotated_beam' in [loop]"),
+            ("rotated_beam = X", "unknown key 'rotated_beam' in [loop]", "loop"),
             ("eom_residual_phase_per_volt = 0.002",
-             "unknown key 'eom_residual_phase_per_volt' in [loop]"),
-            ("pbs_extinction_t = 0.1", "unknown key 'pbs_extinction_t' in [loop]"),
-            ("pbs_extinction_r = 0.05", "unknown key 'pbs_extinction_r' in [loop]"),
+             "unknown key 'eom_residual_phase_per_volt' in [loop]", "loop"),
+            ("pbs_extinction_t = 0.1", "unknown key 'pbs_extinction_t' in [loop]", "loop"),
+            ("pbs_extinction_r = 0.05", "unknown key 'pbs_extinction_r' in [loop]", "loop"),
+            # Conduction starts at the [trace] gate_on time; a delay after
+            # it is a later gate_on.
+            ("gate_delay = 1n", "unknown key 'gate_delay' in [circuit]", "circuit"),
         ],
     )
-    def test_bad_loop_string_exit_2(self, tmp_path, capsys, line, key):
+    def test_bad_loop_string_exit_2(self, tmp_path, capsys, line, key, section):
         bad = tmp_path / "bad.ini"
-        bad.write_text(IDEAL_TEXT.replace("[loop]\n", f"[loop]\n{line}\n"))
+        bad.write_text(IDEAL_TEXT.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
         code = main(["device-matrix", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "[loop]" in err and key in err
+        assert f"[{section}]" in err and key in err
         assert not (tmp_path / "o.csv").exists()
 
     # Each value that a section's library object refuses while the scene

@@ -133,7 +133,14 @@ def test_every_private_name_is_read_by_the_package():
     # Private code that only tests or the benchmark read is dead code with a
     # test attached: it goes. A name counts where the package loads it, bare
     # (``_rescaled(m)``) or as an attribute (``self._building``); an import
-    # or its own definition does not.
+    # or its own definition does not. Reads are matched by name, so each
+    # private name has one definition: two modules defining the same name
+    # would each count the other's reads as their own.
+    definitions = {}
+    for name, where in private_definitions():
+        definitions.setdefault(name, []).append(where)
+    twice = {name: wheres for name, wheres in definitions.items() if len(wheres) > 1}
+    assert not twice, f"private names defined more than once: {twice}"
     read = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -141,7 +148,7 @@ def test_every_private_name_is_read_by_the_package():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    unread = [f"{where} {name}" for name, where in private_definitions() if name not in read]
+    unread = [f"{wheres[0]} {name}" for name, wheres in definitions.items() if name not in read]
     assert not unread, f"private names the package never reads: {unread}"
 
 
