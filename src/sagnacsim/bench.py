@@ -248,7 +248,7 @@ def _record(voltages: np.ndarray, corrected: np.ndarray) -> MeasurementRecord:
     i_on = float(np.max(corrected))
     i_off = float(np.min(corrected))
     if i_on - i_off <= 1e-15 * max(i_on, 1.0):
-        raise ValueError("sweep too short: no fringe extrema found")
+        raise ValueError("flat fringe: the background-corrected readings do not vary")
     return MeasurementRecord(i_on, i_off, _extrema_spacing(voltages, corrected))
 
 

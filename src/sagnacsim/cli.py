@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    sagnacsim <command> --config FILE --out FILE [--sweep-max V] [--dt S] [--t-end S]
+    sagnacsim <command> --config FILE --out FILE
 
 Commands: device-matrix, independence-scan, table1, transient, recovery,
 loss. Each computes a table, then writes it as a CSV report and prints a
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -25,17 +24,9 @@ import numpy as np
 from . import bench as _bench
 from .bench import insertion_loss, switching_trace, table1_report
 from .circuit import recovery_fraction
-from .config import ConfigError, SceneConfig, parse_config, parse_number
+from .config import ConfigError, SceneConfig, parse_config
 from .elements import half_wave_voltage
 from .loop import LoopLayout, device_matrix, independence_scan
-
-def _number(text: str) -> float:
-    """A flag's number, in the config file's grammar (SI suffixes allowed)."""
-    try:
-        return parse_number(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
@@ -46,18 +37,6 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[float]]
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _resolve(cfg: SceneConfig, args: argparse.Namespace) -> SceneConfig:
-    """The scene a command runs with: the config with the CLI flags applied."""
-    if args.sweep_max is not None:
-        cfg = replace(
-            cfg,
-            scan=replace(cfg.scan, v_max=args.sweep_max),
-            sweep=replace(cfg.sweep, v_max=args.sweep_max),
-        )
-    trace = {k: v for k, v in (("t_end", args.t_end), ("dt", args.dt)) if v is not None}
-    return replace(cfg, trace=replace(cfg.trace, **trace))
 
 
 def _scan_voltages(cfg: SceneConfig, layout: LoopLayout) -> np.ndarray:
@@ -157,9 +136,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="scene configuration file")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--sweep-max", type=_number, default=None, help="sweep ceiling in volts")
-    parser.add_argument("--dt", type=_number, default=None, help="transient sample step in seconds")
-    parser.add_argument("--t-end", type=_number, default=None, help="transient duration in seconds")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # 2 after a usage error, 0 after --help
@@ -168,13 +144,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
 
     try:
         cfg = parse_config(text)
-        header, rows, summary = _RUNNERS[args.command](_resolve(cfg, args))
+        header, rows, summary = _RUNNERS[args.command](cfg)
         _write_csv(args.out, header, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

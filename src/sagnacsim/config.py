@@ -27,7 +27,6 @@ __all__ = [
     "ConfigError",
     "SceneConfig",
     "parse_config",
-    "parse_number",
     "render_config",
 ]
 
@@ -44,7 +43,7 @@ class ConfigError(ValueError):
     """Configuration problem with a line/key diagnostic."""
 
 
-def parse_number(text: str) -> float:
+def _parse_number(text: str) -> float:
     """Float with an optional SI suffix: '50p' -> 5e-11, '20k' -> 2e4."""
     text = text.strip()
     try:
@@ -215,8 +214,8 @@ def _convert(section: str, key: str, raw: str, lineno: int):
             items = [part for part in raw.split(",") if part.strip()]
             if not items:
                 raise ValueError("empty list")
-            return tuple(parse_number(part) for part in items)
-        value = parse_number(raw)
+            return tuple(_parse_number(part) for part in items)
+        value = _parse_number(raw)
         if kind is int:
             if not (value.is_integer() and 1 <= value <= _MAX_SCENE_SAMPLES):
                 raise ValueError(
@@ -236,8 +235,7 @@ def parse_config(text: str) -> SceneConfig:
     [recovery]) takes all its defaults; required keys of a present section
     must appear. ``samples`` must be a positive integer no larger than
     1000000. Unknown sections/keys and duplicate keys are rejected with the
-    offending line number. The CLI's --sweep-max, --t-end and --dt flags
-    override the parsed v_max, t_end and dt.
+    offending line number.
     """
     raw_sections: dict[str, dict[str, object]] = {}
     current: Optional[str] = None

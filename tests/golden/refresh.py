@@ -6,7 +6,8 @@ point writes.
 
 The manifest holds the exit code and the SHA-256 of the CSV, stdout and
 stderr of each of the 24 CLI runs (six commands x the two shipped configs x
-no flags / ``SMALL_FLAGS``), and of each demo's stdout, stderr and written
+as shipped / a ``small`` variant scene file with a 250 V sweep ceiling and a
+35 ns trace at 5 ps steps), and of each demo's stdout, stderr and written
 files, all run in process with every warning an error. Next to each CSV hash
 sits a fingerprint (row count, header, and each column's min, max and sum as
 ``repr`` floats), so a broken hash names the column that moved. The library
@@ -38,6 +39,7 @@ import runpy
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +63,7 @@ from sagnacsim import (
     independence_scan,
     linear_state,
     parse_config,
+    render_config,
     rotation,
     scaled_identity_infidelity,
     simulate,
@@ -73,7 +76,6 @@ from sagnacsim.cli import _COMMANDS, main
 ROOT = Path(__file__).resolve().parents[2]
 MANIFEST = Path(__file__).with_name("manifest.json")
 CONFIGS = ("ideal.ini", "fitted.ini")
-SMALL_FLAGS = ("--sweep-max", "250", "--t-end", "35e-9", "--dt", "5e-12")
 DEMOS = tuple(sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 
 
@@ -145,14 +147,21 @@ def run_demo(script: str, workdir: Path) -> tuple[str, dict]:
 
 
 def cli_entries() -> dict:
-    """Entries of the 24 CLI runs, keyed by their arguments."""
+    """Entries of the 24 CLI runs, keyed by command, config and grid."""
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
+        scenes = {}
+        for config in CONFIGS:
+            shipped = ROOT / "demos" / "configs" / config
+            cfg = parse_config(shipped.read_text(encoding="utf-8"))
+            small = replace(cfg, scan=replace(cfg.scan, v_max=250.0), sweep=replace(cfg.sweep, v_max=250.0),
+                            trace=replace(cfg.trace, t_end=35e-9, dt=5e-12))
+            scenes[config] = shipped
+            scenes[f"{config} small"] = Path(tmp) / f"small_{config}"
+            scenes[f"{config} small"].write_text(render_config(small), encoding="utf-8")
         for command in _COMMANDS:
-            for config in CONFIGS:
-                for flags in ((), SMALL_FLAGS):
-                    args = (command, "--config", str(ROOT / "demos" / "configs" / config), *flags)
-                    entries[" ".join((command, config, *flags))] = run_cli(args, Path(tmp))
+            for name, path in scenes.items():
+                entries[f"{command} {name}"] = run_cli((command, "--config", str(path)), Path(tmp))
     return entries
 
 

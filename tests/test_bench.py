@@ -338,7 +338,7 @@ class TestSweepRecords:
 
     def test_flat_fringe_rejected(self, ideal_setup, v_half):
         # With no mode overlap nothing interferes: the detected power is flat.
-        with pytest.raises(ValueError, match="sweep too short"):
+        with pytest.raises(ValueError, match="flat fringe"):
             table1_report(replace(ideal_setup, mode_overlap=0.0), [0.0], 2 * v_half, 1001)
 
     def test_range_preconditions(self, ideal_setup, v_half):

@@ -18,10 +18,10 @@ from sagnacsim import (
     SceneConfig,
     half_wave_voltage,
     parse_config,
-    parse_number,
     render_config,
 )
 from sagnacsim.cli import _COMMANDS, main
+from sagnacsim.config import _parse_number
 
 from golden import refresh as golden
 
@@ -81,29 +81,29 @@ class TestParseNumber:
         ],
     )
     def test_suffixes(self, text, expected):
-        assert parse_number(text) == pytest.approx(expected, rel=1e-12)
+        assert _parse_number(text) == pytest.approx(expected, rel=1e-12)
 
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
-            parse_number("20m m")
+            _parse_number("20m m")
         with pytest.raises(ValueError):
-            parse_number("volts")
+            _parse_number("volts")
         for text in ("infk", "nanM", "1e308k"):
             with pytest.raises(ValueError, match="finite"):
-                parse_number(text)
+                _parse_number(text)
 
     @pytest.mark.parametrize(
         "suffix, exponent", [("p", -12), ("n", -9), ("u", -6), ("m", -3), ("k", 3), ("M", 6)]
     )
     @pytest.mark.parametrize("mantissa", [1, 3, 7, 30, 250, 999])
     def test_suffix_scales_exactly(self, mantissa, suffix, exponent):
-        assert parse_number(f"{mantissa}{suffix}") == float(f"{mantissa}e{exponent}")
+        assert _parse_number(f"{mantissa}{suffix}") == float(f"{mantissa}e{exponent}")
 
     def test_shipped_suffixed_values_are_exact(self):
-        assert parse_number("30n") == 30e-9
-        assert parse_number("632.8n") == 632.8e-9
-        assert parse_number("30.8p") == 30.8e-12
-        assert parse_number("1e3k") == 1e6
+        assert _parse_number("30n") == 30e-9
+        assert _parse_number("632.8n") == 632.8e-9
+        assert _parse_number("30.8p") == 30.8e-12
+        assert _parse_number("1e3k") == 1e6
 
 
 class TestParseConfig:
@@ -220,6 +220,12 @@ class TestCli:
         code = main([command, "--config", str(config_path), "--out", str(out), *extra])
         return code, out
 
+    @staticmethod
+    def append(config_path, *lines):
+        """``config_path`` with ``lines`` appended to its scene."""
+        config_path.write_text(config_path.read_text() + "".join(f"{line}\n" for line in lines))
+        return config_path
+
     def test_device_matrix(self, config_path, tmp_path, capsys):
         code, out = self.run("device-matrix", config_path, tmp_path)
         assert code == 0
@@ -282,6 +288,20 @@ class TestCli:
         assert code == 2
         assert "config" in capsys.readouterr().err
 
+    def test_non_utf8_config_exit_2(self, tmp_path):
+        # A byte that is not UTF-8 is a config the CLI cannot read, not a crash.
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(IDEAL_TEXT.encode() + b"\xff\n")
+        out = tmp_path / "o.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "sagnacsim.cli", "loss", "--config", str(bad), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot read config: 'utf-8' codec can't decode")
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
     def test_config_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[crystal]\nlength_L = 20m m\n")
@@ -290,54 +310,67 @@ class TestCli:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, flag, value",
+        "command, section, key, value",
         [
-            ("device-matrix", "--sweep-max", "nan"),
-            ("independence-scan", "--sweep-max", "inf"),
-            ("transient", "--dt", "nan"),
-            ("transient", "--t-end", "inf"),
-            ("transient", "--dt", "abc"),
+            ("device-matrix", "scan", "v_max", "nan"),
+            ("independence-scan", "scan", "v_max", "inf"),
+            ("transient", "trace", "dt", "nan"),
+            ("transient", "trace", "t_end", "inf"),
+            ("transient", "trace", "dt", "abc"),
         ],
     )
-    def test_non_finite_flag_usage_error(self, config_path, tmp_path, capsys, command, flag, value):
-        # Flags are parsed by parse_number, so they report its messages.
-        code, out = self.run(command, config_path, tmp_path, flag, value)
-        assert code == 1
+    def test_non_finite_value_exit_2(self, config_path, tmp_path, capsys, command, section, key, value):
+        lineno = len(config_path.read_text().splitlines()) + 2
+        code, out = self.run(command, self.append(config_path, f"[{section}]", f"{key} = {value}"), tmp_path)
+        assert code == 2
         message = "malformed number" if value == "abc" else "number must be finite"
-        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: line {lineno}: key '{key}' in [{section}]: {message}" in err
         assert not out.exists()
 
     def test_flags_take_si_suffixes(self, config_path, tmp_path, capsys):
-        # Flags parse like config values: '5p' is exactly 5e-12.
+        # '35n' and '5p' are exactly 35e-9 and 5e-12.
         outputs = []
-        for flags in (["--t-end", "35e-9", "--dt", "5e-12"], ["--t-end", "35n", "--dt", "5p"]):
-            code, out = self.run("transient", config_path, tmp_path, *flags)
+        for t_end, dt in (("35e-9", "5e-12"), ("35n", "5p")):
+            path = tmp_path / f"scene_{dt}.ini"
+            path.write_text(config_path.read_text())
+            self.append(path, "[trace]", f"t_end = {t_end}", f"dt = {dt}")
+            code, out = self.run("transient", path, tmp_path)
             assert code == 0
             outputs.append((out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("flag", ["--sweep-max", "--dt", "--t-end"])
+    def test_retired_flag_usage_error(self, config_path, tmp_path, capsys, flag):
+        # The scene file holds every value a command runs with.
+        code, out = self.run("transient", config_path, tmp_path, flag, "1")
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, extra, message",
         [
-            ("transient", ["--t-end", "-1"], "t_end must be finite and positive"),
-            ("transient", ["--t-end", "1e-12"], "no edge found"),  # a single sample
+            ("transient", ("[trace]", "t_end = -1"), "t_end must be finite and positive"),
+            ("transient", ("[trace]", "t_end = 1e-12"), "no edge found"),  # a single sample
             # 1e17 samples exceed the 10**8-sample cap in simulate, which
             # refuses the grid before anything is allocated.
-            ("transient", ["--t-end", "1000", "--dt", "1e-14"], "allocate"),
-            ("independence-scan", ["--sweep-max", "1e4"], "half-wave voltage"),
+            ("transient", ("[trace]", "t_end = 1000", "dt = 1e-14"), "allocate"),
+            ("independence-scan", ("[scan]", "v_max = 1e4"), "half-wave voltage"),
             # 150 V is 1.55 V_half: less than one fringe period.
-            ("table1", ["--sweep-max", "150"], "need one fringe period"),
+            ("table1", ("[sweep]", "v_max = 150"), "need one fringe period"),
         ],
     )
     def test_runtime_error_exit_3(self, config_path, tmp_path, capsys, command, extra, message):
-        code, _ = self.run(command, config_path, tmp_path, *extra)
+        code, _ = self.run(command, self.append(config_path, *extra), tmp_path)
         assert code == 3
         assert message in capsys.readouterr().err
 
     def test_transient_grid_cap_exit_3(self, config_path, tmp_path, capsys):
         # 1e11 samples (800 GB) are refused before numpy is asked for them.
         with mock.patch.object(np, "empty", side_effect=AssertionError("grid allocated")):
-            code, out = self.run("transient", config_path, tmp_path, "--t-end", "1", "--dt", "1e-11")
+            self.append(config_path, "[trace]", "t_end = 1", "dt = 1e-11")
+            code, out = self.run("transient", config_path, tmp_path)
         assert code == 3
         assert "allocate" in capsys.readouterr().err
         assert not out.exists()
@@ -546,7 +579,7 @@ class TestCli:
         assert not out.exists()
 
     def test_domain_error_exit_3(self, config_path, tmp_path, capsys):
-        code, _ = self.run("table1", config_path, tmp_path, "--sweep-max", "10.0")
+        code, _ = self.run("table1", self.append(config_path, "[sweep]", "v_max = 10.0"), tmp_path)
         assert code == 3
         assert "sweep range" in capsys.readouterr().err
 
@@ -564,16 +597,16 @@ class TestCli:
             assert outputs[0] == outputs[1], command
 
     @pytest.mark.parametrize(
-        "command, section, flags, column, step, last",
+        "command, section, column, step, last",
         [
-            ("device-matrix", "[scan]\nv_max = 50\n", ["--sweep-max", "120"], 0, 1.2, 120.0),
-            ("transient", "[trace]\ndt = 10p\n", ["--dt", "5e-12", "--t-end", "20e-9"], 0, 5e-12, 20e-9),
+            ("device-matrix", "[scan]\nv_max = 120\n", 0, 1.2, 120.0),
+            ("transient", "[trace]\ndt = 5e-12\nt_end = 20e-9\n", 0, 5e-12, 20e-9),
         ],
     )
-    def test_flags_override_config(self, tmp_path, command, section, flags, column, step, last):
+    def test_config_sets_the_grid(self, tmp_path, command, section, column, step, last):
         path = tmp_path / "scene.ini"
         path.write_text(IDEAL_TEXT + section)
-        code, out = self.run(command, path, tmp_path, *flags)
+        code, out = self.run(command, path, tmp_path)
         assert code == 0
         values = np.loadtxt(out, delimiter=",", skiprows=1)[:, column]
         assert len(values) == round(last / step) + 1
@@ -628,9 +661,12 @@ def test_process_exit_codes(tmp_path):
     # the command succeeded.
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     configs = ROOT / "demos" / "configs"
+    # fitted.ini with a 150 V sweep ceiling: less than one fringe period.
+    short = tmp_path / "short_sweep.ini"
+    short.write_text((configs / "fitted.ini").read_text().replace("[sweep]\n", "[sweep]\nv_max = 150\n"))
     cases = [
         (["loss", "--config", str(configs / "ideal.ini")], 0),
-        (["table1", "--config", str(configs / "fitted.ini"), "--sweep-max", "150"], 3),
+        (["table1", "--config", str(short)], 3),
         (["loss", "--config", str(tmp_path / "missing.ini")], 2),
     ]
     for args, code in cases:
