@@ -25,10 +25,15 @@ which is what limits the repetition rate of the switch.
 Sample k of a waveform lies at time k * dt; the simulation and the edge
 finder address samples by that grid index and never build an array of times.
 Both walk the samples in fixed blocks that fit in a core's L2 cache.
-``simulate``'s output starts empty, and its block walk is the only pass
-over it: each block is filled with its grid indices k, turned in place into
-the voltages, and checked and bounded (min, max) while it is still in cache.
-A gate off or on block evaluates
+``simulate`` first builds its segment table: each segment that owns a grid
+sample, with its first grid index and the voltage it starts from. It then
+cuts the grid into contiguous ranges, one per CPU the process may run on
+and at most one per full block, and fills them at once, the first in the
+calling thread and each other on a thread of its own. Its output starts
+empty, and each range's block walk is the only pass over its part: each
+block is filled with its grid indices k, turned in place into the voltages,
+and checked and bounded (min, max) while it is still in cache. A gate off
+or on block evaluates
 
   v = target + (v0 - target) * exp((k - start / dt) * (-dt / tau))
 
@@ -38,7 +43,8 @@ Each segment's end value, which starts the next segment, is the same law at
 k = (end - start) / dt with start 0. On the grid dt / 2 a sample's index,
 start / dt, dt / tau and (end - start) / dt are each scaled by an exact
 power of two and k * dt is the same product, so sample 2k there has the
-bits of sample k on the grid dt; and no sample depends on the block size.
+bits of sample k on the grid dt; and no sample depends on the block size or
+on the number of ranges.
 A ``Waveform`` holds the range of its samples, taken when it is built; the
 edge finder reads its levels from that range and searches block by block,
 stopping at the first crossing.
@@ -47,6 +53,8 @@ stopping at the first crossing.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
@@ -326,6 +334,57 @@ def _segments(circuit: DriveCircuit, gates: GateSchedule) -> list:
     return rows
 
 
+def _segment_table(circuit: DriveCircuit, gates: GateSchedule, samples: int, dt: float, v_start: float) -> list:
+    """The segments that own a sample of the grid of ``samples`` samples of
+    ``dt``, as ``(first, start, evaluate, v0)`` rows in time order: ``first``
+    is the first grid index k with k * dt >= ``start``, ``evaluate`` is as in
+    ``_segments``, and v0 is the voltage the segment starts from.
+
+    Row 0 starts from ``v_start``. Each later row's v0 is the previous row's
+    law at the offset between the two starts, in grid steps, from start 0:
+    this hand-off chain is the only sequential part of a simulation.
+    """
+    grid = range(samples)
+    table = []
+    v0 = float(v_start)
+    for start, evaluate in _segments(circuit, gates):
+        first = bisect_left(grid, start, key=lambda k: k * dt)
+        if first == samples:
+            break
+        if table:
+            _, before, law, v0 = table[-1]
+            v0 = float(law(v0, np.array([(start - before) / dt]), 0.0, dt)[0])
+        table.append((first, start, evaluate, v0))
+    return table
+
+
+def _fill(samples: np.ndarray, table: list, dt: float, a: int, b: int) -> tuple | None:
+    """Write the voltages of grid indices a .. b - 1 into ``samples`` block
+    by block, and return their range from ``_finite_range`` (None when a == b).
+    Each block is filled with its grid indices and overwritten in place by
+    its segment's law while it is in cache."""
+    bounds = None
+    ends = [row[0] for row in table[1:]] + [len(samples)]
+    for (first, start, evaluate, v0), end in zip(table, ends):
+        stop = min(end, b)
+        for c in range(max(first, a), stop, _BLOCK):
+            block = samples[c : min(c + _BLOCK, stop)]
+            np.add(_INDEX[: len(block)], c, out=block)
+            block[...] = evaluate(v0, block, start, dt)
+            bounds = _finite_range(block, bounds)
+    return bounds
+
+
+def _workers(samples: int) -> int:
+    """How many ranges ``simulate`` cuts a grid of ``samples`` into: one per
+    CPU the process may run on, at most one per full block, and at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, samples // _BLOCK))
+
+
 def simulate(
     circuit: DriveCircuit,
     gates: GateSchedule,
@@ -338,15 +397,26 @@ def simulate(
     ``dt`` must resolve the fast discharge edge: dt < R_on * C / 10. A grid
     of more than 10**8 samples is refused before anything is allocated. On
     times are non-negative, so the gate is off at t = 0 and the waveform
-    starts from ``v_start``, which has no 0 V default.
+    starts from ``v_start``, which has no 0 V default. A segment that starts
+    exactly at ``t_end`` owns the last sample.
 
-    Beyond one block's temporaries in a gate ramp, the output is the only
-    allocation, and it is written once: it starts empty, and each block is
-    filled with its grid indices, overwritten in place with its voltages and
-    checked and bounded while it is in cache, so the waveform's range needs
-    no pass of its own. Each sample is a function of its grid index through
-    per-segment scalars that scale by exact powers of two with dt, so
-    halving dt keeps every other sample bit for bit.
+    The segment table, with each segment's first grid index and start
+    voltage, is built first. The grid is then cut into contiguous ranges,
+    one per CPU the process may run on and at most one per full block, and
+    the ranges are filled at once: the first in the calling thread, each
+    other on a thread of its own, all joined before this returns or raises.
+    A grid under two blocks, or a process allowed one CPU, starts no thread;
+    ``taskset -c 0`` limits a run to one range. A range that fails raises
+    in the caller, the first such range's error.
+
+    Beyond one block's temporaries per range in a gate ramp, the output is
+    the only allocation, and it is written once: it starts empty, and each
+    block is filled with its grid indices, overwritten in place with its
+    voltages and checked and bounded while it is in cache, so the
+    waveform's range needs no pass of its own. Each sample is a function of
+    its grid index through per-segment scalars that scale by exact powers
+    of two with dt, so the output is bit-identical for any number of ranges,
+    and halving dt keeps every other sample bit for bit.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (math.isfinite(value) and value > 0.0):
@@ -366,24 +436,35 @@ def simulate(
             f"t_end / dt = {t_end / dt:.3g} exceeds {_MAX_SAMPLES:g} samples; refusing to allocate the grid"
         )
 
-    segments = [row for row in _segments(circuit, gates) if row[0] < t_end]
+    n = math.floor(t_end / dt) + 1
+    table = _segment_table(circuit, gates, n, dt, v_start)
+    samples = np.empty(n)
+    ranges = _workers(n)
+    cuts = [n * i // ranges for i in range(ranges + 1)]
+    # Each range's bounds, or the exception it raised.
+    results = [None] * ranges
 
-    grid = range(math.floor(t_end / dt) + 1)
-    samples = np.empty(len(grid))
-    bounds = None
-    v0 = float(v_start)
-    for (start, evaluate), (end, _) in zip(segments, segments[1:] + [(math.inf, None)]):
-        lo = bisect_left(grid, start, key=lambda k: k * dt)
-        hi = bisect_left(grid, end, key=lambda k: k * dt)
-        for a in range(lo, hi, _BLOCK):
-            block = samples[a : min(a + _BLOCK, hi)]
-            np.add(_INDEX[: len(block)], a, out=block)
-            block[...] = evaluate(v0, block, start, dt)
-            bounds = _finite_range(block, bounds)
-        # The segment's end value starts the next one (unused after the last
-        # segment, where end is inf): the same law at the end's offset from
-        # the start, in grid steps.
-        v0 = float(evaluate(v0, np.array([(end - start) / dt]), 0.0, dt)[0])
+    def fill(i):
+        try:
+            results[i] = _fill(samples, table, dt, cuts[i], cuts[i + 1])
+        except Exception as error:  # raised again in the caller
+            results[i] = error
+
+    threads = []
+    try:
+        for i in range(1, ranges):
+            thread = threading.Thread(target=fill, args=(i,))
+            thread.start()
+            threads.append(thread)
+        fill(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    filled = [result for result in results if result is not None]
+    bounds = (min(lo for lo, _ in filled), max(hi for _, hi in filled))
     return Waveform._owned(dt, samples, bounds)
 
 

@@ -1,5 +1,9 @@
 import decimal
+import inspect
 import math
+import os
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -86,6 +90,12 @@ class TestGateSchedule:
     def test_no_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
             GateSchedule((0.0, 0.5e-6), 1e-6)
+
+    def test_touching_pulses_overlap(self):
+        # The second pulse starts the instant the first one ends.
+        hold = 1e-6
+        with pytest.raises(ValueError, match="overlap"):
+            GateSchedule((0.0, hold), hold)
 
     def test_periodic_builder(self):
         g = GateSchedule.periodic(100e3, 3, 1e-6)
@@ -611,13 +621,18 @@ class TestTransientProperties:
         # One bad sample in a middle block fails the whole simulation, though
         # the blocks after it are finite and the running range's builtin
         # min and max would drop a NaN.
-        relax, calls = circuit_module._relax, []
+        # Each segment's one-sample hand-off is evaluated before any block,
+        # so the poisoned call is the second one with more than one sample.
+        relax, calls, lock = circuit_module._relax, [], threading.Lock()
 
         def poisoned(target, tau, v0, k, start, dt):
             out = relax(target, tau, v0, k, start, dt)
-            calls.append(len(out))
-            if len(calls) == 2:
-                out[3] = value
+            if len(out) > 1:
+                with lock:
+                    calls.append(len(out))
+                    second = len(calls) == 2
+                if second:
+                    out[3] = value
             return out
 
         c = reference_circuit()
@@ -635,3 +650,163 @@ class TestTransientProperties:
         with blocks_of(7):
             got = simulate(c, gates, 200e-9, 10e-12, v_start=c.supply_voltage).samples
         assert np.array_equal(got, want)
+
+
+# A scene whose segment starts all lie on the grid dt = 2**-37: rise 2**-31
+# and hold 2**-27 are exact multiples of dt, and so is each on time.
+DYADIC_DT = 2.0**-37
+
+
+@st.composite
+def dyadic_ends(draw):
+    """A transient on the grid DYADIC_DT whose end lies exactly on one of
+    its segment starts."""
+    circuit = reference_circuit(gate_rise_time=2.0**-31, supply=draw(st.floats(1.0, 200.0)))
+    hold = 2.0**-27
+    on_times = [DYADIC_DT * draw(st.integers(0, 2000))]
+    for _ in range(draw(st.integers(0, 2))):
+        on_times.append(on_times[-1] + DYADIC_DT * draw(st.integers(1025, 3000)))
+    gates = GateSchedule(tuple(on_times), hold)
+    starts = [start for start, _ in circuit_module._segments(circuit, gates) if start > 0.0]
+    v_start = circuit.supply_voltage * draw(st.floats(-0.01, 1.01))
+    return circuit, gates, draw(st.sampled_from(starts)), DYADIC_DT, v_start
+
+
+class TestGridEnd:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=st.one_of(transients(), dyadic_ends()), steps=st.floats(0.01, 50.0))
+    def test_longer_grid_keeps_the_shorter_one_as_its_prefix(self, case, steps):
+        # The law behind a sample does not depend on where the grid ends: a
+        # segment that starts exactly at t_end owns the last sample.
+        circuit, gates, t_end, dt, v_start = case
+        short = simulate(circuit, gates, t_end, dt, v_start=v_start).samples
+        longer = simulate(circuit, gates, t_end + steps * dt, dt, v_start=v_start).samples
+        assert short.tobytes() == longer[: len(short)].tobytes()
+
+
+def ranges_of(count):
+    return mock.patch.object(circuit_module, "_workers", lambda samples: count)
+
+
+def public_functions():
+    """(module, name, function) of every name in a ``sagnacsim`` module's
+    ``__all__`` that is a function defined there."""
+    for name, module in list(sys.modules.items()):
+        if name == "sagnacsim" or name.startswith("sagnacsim."):
+            for attr in getattr(module, "__all__", ()):
+                value = getattr(module, attr)
+                if inspect.isfunction(value) and value.__module__ == module.__name__:
+                    yield module, attr, value
+
+
+class TestThreadedFill:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("block", [*SMALL_BLOCKS, circuit_module._BLOCK])
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_ranges_give_the_one_range_walk(self, count, block, data):
+        circuit, gates, t_end, dt, v_start = data.draw(transients(400.0 if block < 7 else 4000.0))
+        with blocks_of(block):
+            with ranges_of(1):
+                want = simulate(circuit, gates, t_end, dt, v_start=v_start)
+            with ranges_of(count):
+                got = simulate(circuit, gates, t_end, dt, v_start=v_start)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert np.array(got._range).tobytes() == np.array(want._range).tobytes()
+
+    def test_more_ranges_than_cpus_under_frequent_switches(self):
+        # Eight ranges of blocks of 7, with the interpreter switching threads
+        # every microsecond: a lost write would leave np.empty's contents.
+        c = reference_circuit()
+        gates = GateSchedule((2e-9, 62e-9, 122e-9), 30e-9)
+        with blocks_of(7), ranges_of(1):
+            want = simulate(c, gates, 200e-9, 10e-12, v_start=c.supply_voltage)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with blocks_of(7), ranges_of(8):
+                got = simulate(c, gates, 200e-9, 10e-12, v_start=c.supply_voltage)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.samples.tobytes() == want.samples.tobytes() and got._range == want._range
+
+    @pytest.mark.parametrize("failing", [("last",), ("first",), ("first", "last")])
+    def test_failed_range_raises_in_the_caller(self, failing, capfd):
+        # 4001 samples in three ranges of blocks of 7: the last range ends in
+        # the gate-off segment from 3200, range 0 starts in the one from 0.
+        c = reference_circuit()
+        gates = GateSchedule((2e-9,), 30e-9)
+        relax = circuit_module._relax
+
+        def poisoned(target, tau, v0, k, start, dt):
+            first, last = k[0], k[-1]
+            out = relax(target, tau, v0, k, start, dt)
+            if len(out) > 1 and "first" in failing and first == 0:
+                out[3] = math.nan
+            if len(out) > 1 and "last" in failing and last == 4000:
+                if failing == ("first", "last"):
+                    raise RuntimeError("not the lowest failed range")
+                out[-1] = math.inf
+            return out
+
+        before = threading.active_count()
+        with blocks_of(7), ranges_of(3), mock.patch.object(circuit_module, "_relax", poisoned):
+            with pytest.raises(ValueError, match="waveform samples must be finite"):
+                simulate(c, gates, 40e-9, 10e-12, v_start=0.0)
+        assert threading.active_count() == before
+        assert "Exception in thread" not in capfd.readouterr().err
+
+    def test_no_public_function_runs_on_a_worker(self, monkeypatch):
+        # A span recorder that wraps the public functions keeps one stack
+        # per process, so the ranges may call private code only.
+        main, public, fill = threading.current_thread(), set(), set()
+
+        def recorded(fn, threads):
+            def wrapper(*args, **kwargs):
+                threads.add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrappers = {id(fn): recorded(fn, public) for _, _, fn in public_functions()}
+        for name, module in list(sys.modules.items()):
+            if name == "sagnacsim" or name.startswith("sagnacsim."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in wrappers:
+                        monkeypatch.setattr(module, attr, wrappers[id(value)])
+        monkeypatch.setattr(circuit_module, "_relax", recorded(circuit_module._relax, fill))
+        monkeypatch.setattr(circuit_module, "_ramp", recorded(circuit_module._ramp, fill))
+        c = reference_circuit()
+        gates = GateSchedule((2e-9, 62e-9, 122e-9), 30e-9)
+        with blocks_of(7), ranges_of(3):
+            circuit_module.simulate(c, gates, 200e-9, 10e-12, v_start=c.supply_voltage)
+        assert public == {main}
+        assert len(fill) == 3
+
+    @pytest.mark.parametrize(
+        "cpus, samples, count",
+        [(1, 10**8, 1), (2, 2 * 2**15 - 1, 1), (2, 2 * 2**15, 2), (8, 3 * 2**15 + 5, 3), (8, 1, 1)],
+    )
+    def test_one_range_per_cpu_and_full_block(self, monkeypatch, cpus, samples, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert circuit_module._workers(samples) == count
+
+    @pytest.mark.parametrize("cpu_count", [3, None])
+    def test_cpu_count_without_affinity(self, monkeypatch, cpu_count):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert circuit_module._workers(10**8) == (cpu_count or 1)
+
+    @pytest.mark.parametrize("where", ["affinity", "no_affinity"])
+    def test_one_cpu_runs_inline(self, monkeypatch, where):
+        if where == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        c = reference_circuit()
+        gates = GateSchedule((2e-9,), 30e-9)
+        with blocks_of(7):
+            want = simulate(c, gates, 40e-9, 10e-12, v_start=0.0)
+            monkeypatch.setattr(threading, "Thread", mock.Mock(side_effect=AssertionError("thread started")))
+            got = simulate(c, gates, 40e-9, 10e-12, v_start=0.0)
+        assert got.samples.tobytes() == want.samples.tobytes()
