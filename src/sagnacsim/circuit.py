@@ -52,6 +52,7 @@ stopping at the first crossing.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -453,7 +454,8 @@ def simulate(
     threads = []
     try:
         for i in range(1, ranges):
-            thread = threading.Thread(target=fill, args=(i,))
+            # In a copy of the caller's context, so its np.errstate holds there.
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(fill, i))
             thread.start()
             threads.append(thread)
         fill(0)

@@ -688,17 +688,6 @@ def ranges_of(count):
     return mock.patch.object(circuit_module, "_workers", lambda samples: count)
 
 
-def public_functions():
-    """(module, name, function) of every name in a ``sagnacsim`` module's
-    ``__all__`` that is a function defined there."""
-    for name, module in list(sys.modules.items()):
-        if name == "sagnacsim" or name.startswith("sagnacsim."):
-            for attr in getattr(module, "__all__", ()):
-                value = getattr(module, attr)
-                if inspect.isfunction(value) and value.__module__ == module.__name__:
-                    yield module, attr, value
-
-
 class TestThreadedFill:
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("block", [*SMALL_BLOCKS, circuit_module._BLOCK])
@@ -729,6 +718,16 @@ class TestThreadedFill:
         finally:
             sys.setswitchinterval(interval)
         assert got.samples.tobytes() == want.samples.tobytes() and got._range == want._range
+
+    def test_callers_floating_point_state_holds_in_every_range(self):
+        # The on state underflows exp from about 0.89 us, in the second half
+        # of the grid only: the range filled on a worker thread raises it.
+        c = reference_circuit()
+        gates = GateSchedule((2e-9,), 3e-6)
+        with ranges_of(2), np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow"):
+                simulate(c, gates, 1.2e-6, 10e-12, v_start=c.supply_voltage)
+            simulate(c, gates, 0.5e-6, 10e-12, v_start=c.supply_voltage)
 
     @pytest.mark.parametrize("failing", [("last",), ("first",), ("first", "last")])
     def test_failed_range_raises_in_the_caller(self, failing, capfd):
@@ -767,12 +766,18 @@ class TestThreadedFill:
                 return fn(*args, **kwargs)
             return wrapper
 
-        wrappers = {id(fn): recorded(fn, public) for _, _, fn in public_functions()}
-        for name, module in list(sys.modules.items()):
-            if name == "sagnacsim" or name.startswith("sagnacsim."):
-                for attr, value in list(vars(module).items()):
-                    if id(value) in wrappers:
-                        monkeypatch.setattr(module, attr, wrappers[id(value)])
+        modules = [m for n, m in list(sys.modules.items()) if n == "sagnacsim" or n.startswith("sagnacsim.")]
+        functions = {
+            id(value)
+            for module in modules
+            for value in map(vars(module).get, getattr(module, "__all__", ()))
+            if inspect.isfunction(value)
+        }
+        # Rebound in every module namespace that holds them, as a recorder would.
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if id(value) in functions:
+                    monkeypatch.setattr(module, attr, recorded(value, public))
         monkeypatch.setattr(circuit_module, "_relax", recorded(circuit_module._relax, fill))
         monkeypatch.setattr(circuit_module, "_ramp", recorded(circuit_module._ramp, fill))
         c = reference_circuit()
@@ -803,10 +808,7 @@ class TestThreadedFill:
         else:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        c = reference_circuit()
-        gates = GateSchedule((2e-9,), 30e-9)
-        with blocks_of(7):
-            want = simulate(c, gates, 40e-9, 10e-12, v_start=0.0)
-            monkeypatch.setattr(threading, "Thread", mock.Mock(side_effect=AssertionError("thread started")))
-            got = simulate(c, gates, 40e-9, 10e-12, v_start=0.0)
-        assert got.samples.tobytes() == want.samples.tobytes()
+        monkeypatch.setattr(threading, "Thread", mock.Mock(side_effect=AssertionError("thread started")))
+        with blocks_of(7):  # 571 full blocks
+            w = simulate(reference_circuit(), GateSchedule((2e-9,), 30e-9), 40e-9, 10e-12, v_start=0.0)
+        assert len(w.samples) == 4001
