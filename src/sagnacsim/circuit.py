@@ -405,7 +405,9 @@ def simulate(
     voltage, is built first. The grid is then cut into contiguous ranges,
     one per CPU the process may run on and at most one per full block, and
     the ranges are filled at once: the first in the calling thread, each
-    other on a thread of its own, all joined before this returns or raises.
+    other on a thread of its own in a copy of the caller's context (so a
+    caller's ``np.errstate`` holds there), all joined before this returns
+    or raises.
     A grid under two blocks, or a process allowed one CPU, starts no thread;
     ``taskset -c 0`` limits a run to one range. A range that fails raises
     in the caller, the first such range's error.
