@@ -353,7 +353,7 @@ def _segment_table(circuit: DriveCircuit, gates: GateSchedule, samples: int, dt:
         if first == samples:
             break
         if table:
-            _, before, law, v0 = table[-1]
+            _, before, law, _ = table[-1]
             v0 = float(law(v0, np.array([(start - before) / dt]), 0.0, dt)[0])
         table.append((first, start, evaluate, v0))
     return table
