@@ -130,18 +130,43 @@ class Eom:
     def phase_factors(self, voltage):
         """Phase factors (f_H, f_V) of the H and V axes at ``voltage``, a
         scalar or an array; every phase, pi * V / V_half and the residual,
-        must be finite."""
+        must be finite. A scalar gives numpy scalars with the bits of the
+        same voltage in an array.
+
+        Each factor is cos(theta) + i sin(theta) of a real phase theta, with
+        the bits of numpy's complex exp(1j * k * V) for the rate k. numpy's
+        complex product 1j * k * V has the imaginary part (k + 0.0) V + 0.0 k,
+        so -0 becomes +0 unless k carries a minus sign, and a real part of
+        +-0, for which exp returns exactly cos + i sin. The driven phase is
+        (pi V + 0.0) * (1 / V_half): numpy divides a complex array by a real
+        one by multiplying with the reciprocal. A residual rate of +0.0
+        gives the factor 1 + 0j, which is exp(+0j)."""
+        voltage = np.asarray(voltage, dtype=float)
+        rate = 1j * self.residual_orthogonal_phase
         # A finite voltage can still overflow its phase, so the phases are
         # checked, not the voltage alone.
         with np.errstate(over="ignore", invalid="ignore"):
-            driven = 1j * math.pi * voltage / half_wave_voltage(self.crystal)
-            residual = 1j * self.residual_orthogonal_phase * voltage
+            driven = (math.pi * voltage + 0.0) * (1.0 / half_wave_voltage(self.crystal))
+            residual = rate.imag * voltage + rate.real
         finite = np.isfinite(driven) & np.isfinite(residual)
         if not finite.all():
-            bad = np.asarray(voltage)[~finite].ravel()[0]
+            bad = voltage[~finite].ravel()[0]
             raise ValueError(f"modulator phase must be finite, got drive voltage {bad}")
-        driven, residual = np.exp(driven), np.exp(residual)
+        driven = _unit_phasors(driven)
+        if rate == 0 and math.copysign(1.0, rate.real) > 0.0:  # the phase is +0 everywhere
+            residual = np.ones(voltage.shape, dtype=complex)[()]
+        else:
+            residual = _unit_phasors(residual)
         return (residual, driven) if self.axis == "V" else (driven, residual)
+
+
+def _unit_phasors(phases):
+    """cos + i sin of real ``phases``, written into one complex array (a
+    numpy scalar for a scalar)."""
+    out = np.empty(np.shape(phases), dtype=complex)
+    np.cos(phases, out=out.real)
+    np.sin(phases, out=out.imag)
+    return out[()]
 
 
 @dataclass(frozen=True)

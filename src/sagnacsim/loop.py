@@ -30,8 +30,12 @@ the same function, kept for the benchmark until ROADMAP item 1.
 from the loop is C0 + Re(K_hv conj(f_H) f_V + K_h f_H + K_v f_V) with fixed
 coefficients; ``_power_law`` is its one evaluator, and both port A's power
 in ``independence_scan`` and the bench's fringe (``bench._intensities``)
-read it. ``independence_scan`` builds port B's stack and no port-A stack
-(see its docstring). The state leaving port B is
+read it. Both work on whole columns over the voltages, in place and with
+one or a few temporaries of the voltages' shape, and give the bits of the
+plain broadcast expressions: ``_stack`` fills its output one matrix entry
+at a time, and ``_power_law`` one coefficient row at a time.
+``independence_scan`` builds port B's stack and no port-A stack (see its
+docstring). The state leaving port B is
 ``device_matrix(layout, V) @ state``.
 
 The modulator sits at the midpoint index of the path; that placement matters
@@ -167,12 +171,20 @@ def _compile(layout: LoopLayout) -> np.ndarray:
 
 def _stack(factors, parts) -> np.ndarray:
     """f_H P_H + f_V P_V for the phase factors ``factors`` = (f_H, f_V) and
-    the parts ``parts`` = (P_H, P_V) of one port or of both."""
+    the parts ``parts`` = (P_H, P_V) of one port or of both, shape
+    f_H.shape + the parts' shape. Each entry is filled as one column over
+    the voltages: f_H P_H[j, k], then f_V P_V[j, k], then their sum, the
+    bits of the summed outer products. One column is the only temporary."""
     factor_h, factor_v = factors
     part_h, part_v = parts
-    # Summed into the first product: one temporary fewer, the same bits.
-    out = np.multiply.outer(factor_h, part_h)
-    out += np.multiply.outer(factor_v, part_v)
+    shape = np.shape(factor_h)
+    out = np.empty(shape + part_h.shape, dtype=complex)
+    columns = out.reshape(shape + (-1,))
+    term = np.empty(shape, dtype=complex)
+    for k, (p_h, p_v) in enumerate(zip(part_h.ravel(), part_v.ravel())):
+        column = columns[..., k]
+        np.multiply(factor_h, p_h, out=column)
+        column += np.multiply(factor_v, p_v, out=term)
     return out
 
 
@@ -184,19 +196,31 @@ def _power_law(coefficients, factors, floor: float) -> np.ndarray:
     the modulator once. Every product is taken in real parts: numpy's
     complex multiply rounds differently in its vectorized and its scalar
     loop, so a complex product would make a value depend on the array it
-    falls in. The result is clamped at ``floor``, the exact law's least
-    value, which rounding can undercut by about 1e-16 of the largest power;
-    a NaN passes the clamp."""
-    constant, k_hv, k_h, k_v = np.asarray(coefficients, dtype=complex).reshape(-1, 4).T[..., None]
+    falls in. Each row is evaluated in place, in the order of operations of
+    C0 + (K_hv.re g_re - K_hv.im g_im) + (K_h.re h_re - K_h.im h_im)
+    + (K_v.re v_re - K_v.im v_im), with g = conj(f_H) f_V, h = f_H and
+    v = f_V, in four buffers of f_H's shape. The result is clamped at
+    ``floor``, the exact law's least value, which rounding can undercut by
+    about 1e-16 of the largest power; a NaN passes the clamp."""
+    rows = np.asarray(coefficients, dtype=complex).reshape(-1, 4)
     factor_h, factor_v = factors
     hr, hi, vr, vi = factor_h.real, factor_h.imag, factor_v.real, factor_v.imag
-    g_re, g_im = hr * vr + hi * vi, hr * vi - hi * vr  # conj(f_H) f_V
-    out = (
-        constant.real
-        + (k_hv.real * g_re - k_hv.imag * g_im)
-        + (k_h.real * hr - k_h.imag * hi)
-        + (k_v.real * vr - k_v.imag * vi)
-    )
+    shape = np.shape(hr)
+    g_re, g_im, term, product = (np.empty(shape) for _ in range(4))
+    np.multiply(hr, vr, out=g_re)
+    g_re += np.multiply(hi, vi, out=term)
+    np.multiply(hr, vi, out=g_im)
+    g_im -= np.multiply(hi, vr, out=term)
+    out = np.empty((len(rows),) + shape)
+    for i, (constant, k_hv, k_h, k_v) in enumerate(rows):
+        row = out[i, ...]
+        np.multiply(g_re, k_hv.real, out=row)
+        row -= np.multiply(g_im, k_hv.imag, out=term)
+        row += constant.real  # a sum commutes bit for bit
+        for k, re, im in ((k_h, hr, hi), (k_v, vr, vi)):
+            np.multiply(re, k.real, out=term)
+            term -= np.multiply(im, k.imag, out=product)
+            row += term
     return np.maximum(out, floor, out=out)
 
 

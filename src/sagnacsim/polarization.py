@@ -114,13 +114,17 @@ def _canonical_phases(ms: np.ndarray, squared: np.ndarray) -> tuple[np.ndarray, 
     transform rescaled on its own. The phase is the pivot entry's own, taken
     from ``ms``."""
     flat = ms.reshape(len(ms), 4)
-    mags = squared.reshape(len(ms), 4)
     # Column by column: numpy reduces a short last axis one row at a time.
-    m0, m1, m2, m3 = mags.T
+    m0, m1, m2, m3 = squared.reshape(len(ms), 4).T
     top = np.maximum(np.maximum(m0, m1), np.maximum(m2, m3))
     # first maximum in row-major order; squared magnitudes tied within
-    # floating-point noise count as equal so the tie-break is stable
-    pivot_index = np.argmax(mags >= (top * (1.0 - _PIVOT_TIE) ** 2)[:, None], axis=1)
+    # floating-point noise count as equal so the tie-break is stable. The
+    # columns are tried last to first, so the first that ties is written
+    # last; a row where none ties (a NaN) keeps the index 0.
+    tie = top * (1.0 - _PIVOT_TIE) ** 2
+    pivot_index = np.where(m3 >= tie, 3, 0)
+    for k, column in ((2, m2), (1, m1), (0, m0)):
+        np.copyto(pivot_index, k, where=column >= tie)
     pivots = flat[np.arange(len(flat)), pivot_index]
     if np.any(pivots == 0):
         raise ValueError("cannot decompose the zero matrix")

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -219,6 +220,20 @@ class TestDeviceMatrix:
             batch = device_matrix(layout, voltages)
             for v, m in zip(voltages, batch):
                 np.testing.assert_allclose(m, device_matrix(layout, v), atol=1e-13)
+
+    def test_memory_bounded_per_voltage(self, ideal, v_half):
+        # The returned stack takes 64 B per voltage and the two phase factors
+        # 32 B; filling the stack column by column adds one 16 B column. The
+        # 0.1 B covers the call's fixed Python objects, some 2 kB.
+        voltages = np.linspace(-v_half, 3 * v_half, 10**5)
+        device_matrix(ideal, voltages)
+        tracemalloc.start()
+        try:
+            device_matrix(ideal, voltages)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(voltages) <= 112.1
 
 
 class TestImperfections:
